@@ -369,9 +369,13 @@ fn cache_hits_perform_zero_graph_construction_work() {
 fn malformed_invalid_and_unknown_requests_get_structured_errors() {
     let handle = server(1, 1 << 20, 8);
     let mut client = Client::connect(handle.addr());
+    // Deep nesting well under the size cap must not recurse the parser off the stack.
+    let deep = "[".repeat(60_000);
+    assert!(deep.len() < protocol::MAX_REQUEST_BYTES);
     let cases = [
         ("{oops", "malformed-request"),
         ("[1,2,3]", "malformed-request"),
+        (deep.as_str(), "malformed-request"),
         ("{\"cmd\":\"frobnicate\"}", "invalid-request"),
         ("{\"spec\":\"cobra:k=2\"}", "invalid-request"),
         ("{\"cmd\":\"submit\",\"spec\":\"frisbee\"}", "invalid-spec"),
