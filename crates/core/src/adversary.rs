@@ -60,7 +60,7 @@
 //! enclosed in an [`AdversarialProcess`], which calls
 //! [`AdversaryPolicy::observe`] before each step and feeds the policy's
 //! [`faults`](AdversaryPolicy::faults) into
-//! [`step_faulted`](SpreadingProcess::step_faulted). The wrapper is an ordinary
+//! [`step_with`](SpreadingProcess::step_with). The wrapper is an ordinary
 //! [`SpreadingProcess`], so the `Runner`, every observer, churn segmentation
 //! ([`run_churned_observed`](crate::fault::run_churned_observed) builds a fresh wrapper —
 //! and thus a fresh policy with a fresh budget — per epoch, mirroring the per-epoch
@@ -75,6 +75,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::{FaultPlan, FaultedProcess, PlanDynamics, StepFaults};
+use crate::parallel::{Draws, ADVERSARY_ENTITY};
 use crate::process::SpreadingProcess;
 use crate::spec::ProcessSpec;
 use crate::{CoreError, Result};
@@ -686,7 +687,7 @@ impl AdversaryPolicy for PartitionPolicy {
 /// and injects that round's faults.
 ///
 /// The wrapper is itself a [`SpreadingProcess`]; outer faults passed to its own
-/// [`step_faulted`](SpreadingProcess::step_faulted) (nested wrappers) are composed with
+/// [`step_with`](SpreadingProcess::step_with) (nested wrappers) are composed with
 /// the policy's — drops multiply, crash sets union, and for the shapes that cannot be
 /// merged (two targeted sets, two partitions) the policy's own faults win.
 pub struct AdversarialProcess<'g> {
@@ -746,13 +747,18 @@ impl<'g> AdversarialProcess<'g> {
 }
 
 impl SpreadingProcess for AdversarialProcess<'_> {
+    // In stream mode the policy's observation draws (crash-set sampling, the one-time
+    // spectral sweep) come from the reserved ADVERSARY_ENTITY stream at the current round.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), rng);
+    fn step_with(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) {
+        let view = ProcessView::new(self.inner.as_ref(), self.graph);
+        draws
+            .with_entity_rng(ADVERSARY_ENTITY, view.round(), |rng| self.policy.observe(&view, rng));
         let own = self.policy.faults();
         if outer.is_benign() {
-            self.inner.step_faulted(rng, &own);
+            self.inner.step_with(draws, &own);
             return;
         }
         let drop = 1.0 - (1.0 - own.drop_probability()) * (1.0 - outer.drop_probability());
@@ -782,57 +788,7 @@ impl SpreadingProcess for AdversarialProcess<'_> {
         let faults = StepFaults::new(drop, crashed)
             .with_targeted(targeted_drop, targeted)
             .with_partition(severed);
-        self.inner.step_faulted(rng, &faults);
-    }
-
-    // Stream mode: the policy's observation draws (crash-set sampling, the one-time
-    // spectral sweep) come from the reserved ADVERSARY_ENTITY stream at the current round;
-    // the fault-composition logic is the same as step_faulted's.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(
-        &mut self,
-        engine: &crate::parallel::ParallelFrontier,
-        outer: &StepFaults<'_>,
-    ) -> Result<()> {
-        let mut rng = engine.stream(crate::parallel::ADVERSARY_ENTITY, self.inner.round() as u64);
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), &mut rng);
-        let own = self.policy.faults();
-        if outer.is_benign() {
-            return self.inner.step_streams(engine, &own);
-        }
-        let drop = 1.0 - (1.0 - own.drop_probability()) * (1.0 - outer.drop_probability());
-        let (scratch, dirty) = (&mut self.merged_crashes, &mut self.merged_dirty);
-        let crashed = match (own.crashed_set(), outer.crashed_set()) {
-            (None, None) => None,
-            (Some(set), None) | (None, Some(set)) => Some(set),
-            (Some(a), Some(b)) => {
-                scratch.clear_list(dirty);
-                dirty.clear();
-                for set in [a, b] {
-                    set.for_each(&mut |v| {
-                        if scratch.insert(v) {
-                            dirty.push(v);
-                        }
-                    });
-                }
-                Some(&*scratch)
-            }
-        };
-        let (targeted_drop, targeted) = if own.targeted_set().is_some() {
-            (own.targeted_drop_probability(), own.targeted_set())
-        } else {
-            (outer.targeted_drop_probability(), outer.targeted_set())
-        };
-        let severed = own.severed_side().or(outer.severed_side());
-        let faults = StepFaults::new(drop, crashed)
-            .with_targeted(targeted_drop, targeted)
-            .with_partition(severed);
-        self.inner.step_streams(engine, &faults)
-    }
-
-    fn supports_streams(&self) -> bool {
-        self.inner.supports_streams()
+        self.inner.step_with(draws, &faults);
     }
 
     fn round(&self) -> usize {
@@ -1070,7 +1026,7 @@ mod tests {
             assert!(!crashed.contains(0), "round {round}: the protected source never crashes");
             previous = count;
             let faults = policy.faults();
-            inner.step_faulted(&mut r, &faults);
+            inner.step_with(Draws::Shared(&mut r), &faults);
         }
         assert_eq!(previous, 4, "ten rounds of a growing frontier must exhaust the budget");
     }

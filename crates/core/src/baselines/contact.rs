@@ -15,7 +15,7 @@ use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::{Rng, RngCore};
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::{Claim, Draws, Items, Kernel, Sink};
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -124,52 +124,87 @@ impl<'g> ContactProcess<'g> {
     }
 }
 
-impl SpreadingProcess for ContactProcess<'_> {
+/// One infected vertex's transmissions and recovery: the per-vertex work of a round.
+struct Transmissions<'a> {
+    graph: &'a Graph,
+    source: VertexId,
+    persistent_source: bool,
+    parameters: ContactParameters,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Kernel for Transmissions<'_> {
+    // The shared path skips the Bernoulli draw of a target another sender already claimed
+    // this round. Stream shards cannot see cross-sender state (it would make draw counts
+    // depend on the schedule), so they draw every neighbour: distribution-identical, since
+    // a skipped draw was an independent Bernoulli whose outcome could not matter, and each
+    // sender's draw count becomes a pure function of its degree.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.newly.clear();
-        // An i.i.d.-dropped transmission composes into one Bernoulli draw with the
-        // effective probability p(1-f) — per sender, so a targeted (frontier) drop lowers
-        // only the targeted senders' rate; with no faults the stream is untouched.
-        let transmit = self.parameters.infection_probability;
-        // The frontier is ascending, so transmission/recovery draws happen in the dense
-        // engine's vertex order and the RNG streams stay identical.
-        for &u in &self.frontier {
-            // A crashed vertex stays ill without infecting anyone (recovery still applies).
-            if !faults.is_crashed(u) {
-                let transmit = transmit * (1.0 - faults.sender_drop(u));
-                for v in self.graph.neighbor_iter(u) {
-                    // Per-edge channel loss folds into the per-neighbour Bernoulli too
-                    // (the edge identity is known here); 1 - 0 with no bank active.
-                    let transmit = transmit * (1.0 - faults.edge_drop_probability(u, v));
-                    if !self.next_infected.contains(v)
-                        && !faults.severs(u, v)
-                        && transmit > 0.0
-                        && rng.gen_bool(transmit)
-                    {
-                        self.next_infected.insert(v);
-                        if !self.infected.contains(v) {
-                            self.newly.push(v);
-                        }
-                    }
+    fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
+        let faults = self.faults;
+        // A crashed vertex stays ill without infecting anyone (recovery still applies).
+        if !faults.is_crashed(u) {
+            // An i.i.d.-dropped transmission composes into one Bernoulli draw with the
+            // effective probability p(1-f) — per sender, so a targeted (frontier) drop
+            // lowers only the targeted senders' rate; with no faults the stream is untouched.
+            let transmit = self.parameters.infection_probability * (1.0 - faults.sender_drop(u));
+            for v in self.graph.neighbor_iter(u) {
+                // Per-edge channel loss folds into the per-neighbour Bernoulli too (the edge
+                // identity is known here); 1 - 0 with no bank active.
+                let transmit = transmit * (1.0 - faults.edge_drop_probability(u, v));
+                if !sink.claimed(v)
+                    && !faults.severs(u, v)
+                    && transmit > 0.0
+                    && rng.gen_bool(transmit)
+                {
+                    sink.propose(v);
                 }
             }
-            // Recovery (skipped for the persistent source).
-            let recovers = (!self.persistent_source || u != self.source)
-                && self.parameters.recovery_probability > 0.0
-                && rng.gen_bool(self.parameters.recovery_probability);
-            if !recovers {
-                // `u` was infected this round, so surviving is never a new activation.
-                self.next_infected.insert(u);
-            }
         }
-        if self.persistent_source && self.next_infected.insert(self.source) {
+        // Recovery (skipped for the persistent source).
+        let recovery = self.parameters.recovery_probability;
+        let recovers = (!self.persistent_source || u != self.source)
+            && recovery > 0.0
+            && rng.gen_bool(recovery);
+        if !recovers {
+            sink.propose(u);
+        }
+    }
+}
+
+impl SpreadingProcess for ContactProcess<'_> {
+    // The frontier is ascending and proposals are applied in sender order (per sender:
+    // infected neighbours, then its own survival), so the shared draw order matches the
+    // dense engine's and the stream merge is one fixed order at every thread count.
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.newly.clear();
+        let transmissions = Transmissions {
+            graph: self.graph,
+            source: self.source,
+            persistent_source: self.persistent_source,
+            parameters: self.parameters,
+            faults,
+        };
+        let fresh = |v| {
+            // A surviving sender was infected this round, so it is never a new activation.
+            if !self.infected.contains(v) {
+                self.newly.push(v);
+            }
+        };
+        let mut merge = Claim { next: &mut self.next_infected, fresh };
+        draws.run(Items::Vertices(&self.frontier), self.round, &transmissions, &mut merge);
+        if self.persistent_source
+            && self.next_infected.insert(self.source)
+            && !self.infected.contains(self.source)
+        {
             // Unreachable when the source started infected, but kept for state safety: a
             // re-pinned source that was healthy this round is a genuine activation.
-            if !self.infected.contains(self.source) {
-                self.newly.push(self.source);
-            }
+            self.newly.push(self.source);
         }
         // Erase A_t through its own member list, swap, re-materialise the frontier.
         self.infected.clear_list(&self.frontier);
@@ -177,71 +212,6 @@ impl SpreadingProcess for ContactProcess<'_> {
         self.frontier.clear();
         self.infected.collect_into(&mut self.frontier);
         self.round += 1;
-    }
-
-    // Stream mode: sender `u` draws one Bernoulli per neighbour plus its recovery from its
-    // own `(vertex, round)` stream. The sequential engine's `next_infected.contains`
-    // short-circuit (skipping draws for already-claimed targets) is deliberately absent —
-    // it reads cross-sender state mid-round, which would make draw counts depend on the
-    // schedule. Drawing every neighbour independently is distribution-identical (the
-    // skipped draws were independent Bernoullis whose outcome could not matter) and makes
-    // each sender's draw count a pure function of its degree.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.newly.clear();
-        let transmit = self.parameters.infection_probability;
-        let recovery = self.parameters.recovery_probability;
-        let graph = self.graph;
-        let source = self.source;
-        let persistent_source = self.persistent_source;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        // Each shard emits its inserts in sequential-scan order (per sender: infected
-        // neighbours, then the sender's own survival), so the shard-order merge reproduces
-        // one fixed insertion order at every thread count.
-        let shards = engine.fan_out(&self.frontier, |_, chunk| {
-            let mut inserts: Vec<VertexId> = Vec::new();
-            for &u in chunk {
-                let mut rng = streams.stream(u as u64, round);
-                if !faults.is_crashed(u) {
-                    let transmit = transmit * (1.0 - faults.sender_drop(u));
-                    for v in graph.neighbor_iter(u) {
-                        let transmit = transmit * (1.0 - faults.edge_drop_probability(u, v));
-                        if !faults.severs(u, v) && transmit > 0.0 && rng.gen_bool(transmit) {
-                            inserts.push(v);
-                        }
-                    }
-                }
-                let recovers =
-                    (!persistent_source || u != source) && recovery > 0.0 && rng.gen_bool(recovery);
-                if !recovers {
-                    inserts.push(u);
-                }
-            }
-            inserts
-        });
-        for w in shards.into_iter().flatten() {
-            if self.next_infected.insert(w) && !self.infected.contains(w) {
-                self.newly.push(w);
-            }
-        }
-        if self.persistent_source
-            && self.next_infected.insert(self.source)
-            && !self.infected.contains(self.source)
-        {
-            self.newly.push(self.source);
-        }
-        self.infected.clear_list(&self.frontier);
-        std::mem::swap(&mut self.infected, &mut self.next_infected);
-        self.frontier.clear();
-        self.infected.collect_into(&mut self.frontier);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

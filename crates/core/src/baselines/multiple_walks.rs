@@ -3,8 +3,9 @@
 use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
 
+use crate::baselines::random_walk::walk_move;
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::{Draws, Items, Kernel, Sink};
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -22,6 +23,8 @@ pub struct MultipleRandomWalks<'g> {
     graph: &'g Graph,
     start: VertexId,
     positions: Vec<VertexId>,
+    /// Scratch for the next round's positions; swapped into `positions` after each step.
+    landed: Vec<VertexId>,
     /// Occupied vertices this round; members listed in `active_list`.
     active: VertexBitset,
     active_list: Vec<VertexId>,
@@ -70,6 +73,7 @@ impl<'g> MultipleRandomWalks<'g> {
             graph,
             start,
             positions: vec![start; walkers],
+            landed: Vec::with_capacity(walkers),
             active,
             active_list: vec![start],
             next_active: VertexBitset::new(n),
@@ -97,28 +101,35 @@ impl<'g> MultipleRandomWalks<'g> {
     }
 }
 
-impl SpreadingProcess for MultipleRandomWalks<'_> {
+/// One walker's move: proposes where it lands (its old position when it stays).
+struct Moves<'a> {
+    graph: &'a Graph,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Kernel for Moves<'_> {
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
+    fn run<R: RngCore + ?Sized, S: Sink>(&self, position: VertexId, rng: &mut R, sink: &mut S) {
+        sink.propose(walk_move(self.graph, self.faults, position, rng).unwrap_or(position));
+    }
+}
+
+impl SpreadingProcess for MultipleRandomWalks<'_> {
+    // Landings arrive in walker order in both draw modes; in stream mode walker `i` owns
+    // the entity id `i`, so the position vector shards cleanly.
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         // Erase the two-rounds-old occupancy through its dirty list.
         self.next_active.clear_list(&self.next_list);
         self.next_list.clear();
         self.newly.clear();
-        for i in 0..self.positions.len() {
-            // A walker on a crashed vertex is stuck; a dropped move stays in place; a
-            // severed cut (or a bad per-edge channel on the chosen link) blocks the
-            // traversal after the target draw.
-            if !faults.is_crashed(self.positions[i]) && !faults.drops_from(rng, self.positions[i]) {
-                if let Some(next) = self.graph.sample_neighbor(self.positions[i], rng) {
-                    if !faults.severs(self.positions[i], next)
-                        && !faults.drops_on_edge(rng, self.positions[i], next)
-                    {
-                        self.positions[i] = next;
-                    }
-                }
-            }
-            let p = self.positions[i];
+        self.landed.clear();
+        let mut merge = |p| {
+            self.landed.push(p);
             if self.next_active.insert(p) {
                 self.next_list.push(p);
                 if !self.active.contains(p) {
@@ -128,62 +139,13 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
                     self.num_visited += 1;
                 }
             }
-        }
+        };
+        let moves = Moves { graph: self.graph, faults };
+        draws.run(Items::Walkers(&self.positions), self.round, &moves, &mut merge);
+        std::mem::swap(&mut self.positions, &mut self.landed);
         std::mem::swap(&mut self.active, &mut self.next_active);
         std::mem::swap(&mut self.active_list, &mut self.next_list);
         self.round += 1;
-    }
-
-    // Stream mode: walker `i` owns the entity id `i` (keying by *position* would weld
-    // co-located walkers together — they would share every draw and never separate), so
-    // the position vector shards cleanly and merges back in walker order.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.next_active.clear_list(&self.next_list);
-        self.next_list.clear();
-        self.newly.clear();
-        let graph = self.graph;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let shards = engine.fan_out(&self.positions, |base, chunk| {
-            let mut moved: Vec<VertexId> = Vec::with_capacity(chunk.len());
-            for (offset, &position) in chunk.iter().enumerate() {
-                let mut rng = streams.stream((base + offset) as u64, round);
-                let mut landed = position;
-                if !faults.is_crashed(position) && !faults.drops_from(&mut rng, position) {
-                    if let Some(next) = graph.sample_neighbor(position, &mut rng) {
-                        if !faults.severs(position, next)
-                            && !faults.drops_on_edge(&mut rng, position, next)
-                        {
-                            landed = next;
-                        }
-                    }
-                }
-                moved.push(landed);
-            }
-            moved
-        });
-        for (walker, landed) in shards.into_iter().flatten().enumerate() {
-            self.positions[walker] = landed;
-            if self.next_active.insert(landed) {
-                self.next_list.push(landed);
-                if !self.active.contains(landed) {
-                    self.newly.push(landed);
-                }
-                if self.visited.insert(landed) {
-                    self.num_visited += 1;
-                }
-            }
-        }
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        std::mem::swap(&mut self.active_list, &mut self.next_list);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

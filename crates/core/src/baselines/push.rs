@@ -17,7 +17,7 @@ use cobra_graph::{sample, Graph, VertexBitset, VertexId};
 use rand::RngCore;
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::{Claim, Draws, Items, Kernel, Sink};
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -86,99 +86,58 @@ impl<'g> PushProcess<'g> {
     }
 }
 
-impl SpreadingProcess for PushProcess<'_> {
-    // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.newly.clear();
-        // The informed set is monotone, so targets can be marked immediately: no push
-        // decision in this round depends on the informed state, and marking eagerly
-        // deduplicates `newly` for free (the dense engine's deferred application with its
-        // double `!informed` check produces the identical set).
-        for &u in &self.informed_list {
-            // A crashed vertex knows the rumour but never sends it.
-            if faults.is_crashed(u) {
-                continue;
-            }
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
-            self.messages_sent += 1;
-            // The message is sent (and counted) but lost in flight.
-            if faults.drops_from(rng, u) {
-                continue;
-            }
-            let target =
-                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
-            // A severed cut blocks the (sent and counted) message after the target draw;
-            // a per-edge channel may then lose it on the chosen link.
-            if faults.severs(u, target) || faults.drops_on_edge(rng, u, target) {
-                continue;
-            }
-            if self.informed.insert(target) {
-                self.newly.push(target);
-            }
-        }
-        if !self.newly.is_empty() {
-            self.informed_list.clear();
-            self.informed.collect_into(&mut self.informed_list);
-        }
-        self.round += 1;
-    }
+/// One informed vertex's push: the per-vertex work of a PUSH round.
+struct Push<'a> {
+    graph: &'a Graph,
+    faults: &'a StepFaults<'a>,
+}
 
-    // Stream mode: each informed sender's drop and target draws come from its own
-    // `(vertex, round)` stream; shard merges preserve sender-ascending order.
+impl Kernel for Push<'_> {
+    // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.newly.clear();
-        let graph = self.graph;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let shards = engine.fan_out(&self.informed_list, |_, chunk| {
-            let mut targets: Vec<VertexId> = Vec::new();
-            let mut messages = 0u64;
-            for &u in chunk {
-                if faults.is_crashed(u) {
-                    continue;
-                }
-                let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                messages += 1;
-                let mut rng = streams.stream(u as u64, round);
-                if faults.drops_from(&mut rng, u) {
-                    continue;
-                }
-                let target = *sample::sample_slice(neighbors, &mut rng)
-                    .expect("neighbour slice is non-empty");
-                if faults.severs(u, target) || faults.drops_on_edge(&mut rng, u, target) {
-                    continue;
-                }
-                targets.push(target);
-            }
-            (targets, messages)
-        });
-        for (targets, messages) in shards {
-            self.messages_sent += messages;
-            for target in targets {
-                if self.informed.insert(target) {
-                    self.newly.push(target);
-                }
-            }
+    fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
+        // A crashed vertex knows the rumour but never sends it.
+        if self.faults.is_crashed(u) {
+            return;
         }
+        let neighbors = self.graph.neighbors(u);
+        if neighbors.is_empty() {
+            return;
+        }
+        sink.message();
+        // The message is sent (and counted) but lost in flight.
+        if self.faults.drops_from(rng, u) {
+            return;
+        }
+        let target = *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+        // A severed cut blocks the (sent and counted) message after the target draw; a
+        // per-edge channel may then lose it on the chosen link.
+        if !self.faults.severs(u, target) && !self.faults.drops_on_edge(rng, u, target) {
+            sink.propose(target);
+        }
+    }
+}
+
+impl SpreadingProcess for PushProcess<'_> {
+    // The informed set is monotone, so targets can be marked immediately: no push decision
+    // in this round depends on the informed state, and marking eagerly deduplicates `newly`
+    // for free (the dense engine's deferred application with its double `!informed` check
+    // produces the identical set).
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.newly.clear();
+        let push = Push { graph: self.graph, faults };
+        let mut merge = Claim { next: &mut self.informed, fresh: |v| self.newly.push(v) };
+        self.messages_sent +=
+            draws.run(Items::Vertices(&self.informed_list), self.round, &push, &mut merge);
         if !self.newly.is_empty() {
             self.informed_list.clear();
             self.informed.collect_into(&mut self.informed_list);
         }
         self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {
@@ -299,43 +258,62 @@ impl<'g> PushPullProcess<'g> {
     }
 }
 
-impl SpreadingProcess for PushPullProcess<'_> {
+/// One vertex's contact: the per-vertex work of a PUSH–PULL round. Vertex `u` initiates
+/// both its push and its pull request, so its partner draw and the drop draw of either
+/// direction come from `u`'s RNG.
+struct Contact<'a> {
+    graph: &'a Graph,
+    informed: &'a VertexBitset,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Kernel for Contact<'_> {
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        let n = self.graph.num_vertices();
-        // Every vertex contacts a partner based on the *start-of-round* informed state, so
-        // application must be deferred — collect candidates first, then mark.
-        self.contacts.clear();
-        for u in 0..n {
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
-            self.messages_sent += 1;
-            let partner =
-                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
-            // Crash disables transmission only: a crashed vertex neither pushes the rumour
-            // nor answers a pull, but it can still receive and still request. A severed
-            // cut blocks the contact in both directions before any drop draw.
-            if self.informed.contains(u) && !self.informed.contains(partner) {
-                if !faults.is_crashed(u)
-                    && !faults.severs(u, partner)
-                    && !faults.drops_from(rng, u)
-                    && !faults.drops_on_edge(rng, u, partner)
-                {
-                    self.contacts.push(partner);
-                }
-            } else if !self.informed.contains(u)
-                && self.informed.contains(partner)
-                && !faults.is_crashed(partner)
-                && !faults.severs(partner, u)
-                && !faults.drops_from(rng, partner)
-                && !faults.drops_on_edge(rng, partner, u)
-            {
-                self.contacts.push(u);
-            }
+    fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
+        let neighbors = self.graph.neighbors(u);
+        if neighbors.is_empty() {
+            return;
         }
+        sink.message();
+        let partner = *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+        let (faults, informed) = (self.faults, self.informed);
+        // Crash disables transmission only: a crashed vertex neither pushes the rumour nor
+        // answers a pull, but it can still receive and still request. A severed cut blocks
+        // the contact in both directions before any drop draw.
+        if informed.contains(u) && !informed.contains(partner) {
+            if !faults.is_crashed(u)
+                && !faults.severs(u, partner)
+                && !faults.drops_from(rng, u)
+                && !faults.drops_on_edge(rng, u, partner)
+            {
+                sink.propose(partner);
+            }
+        } else if !informed.contains(u)
+            && informed.contains(partner)
+            && !faults.is_crashed(partner)
+            && !faults.severs(partner, u)
+            && !faults.drops_from(rng, partner)
+            && !faults.drops_on_edge(rng, partner, u)
+        {
+            sink.propose(u);
+        }
+    }
+}
+
+impl SpreadingProcess for PushPullProcess<'_> {
+    // Every vertex contacts a partner based on the *start-of-round* informed state, so
+    // application is deferred — collect the contacts first, then mark.
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.contacts.clear();
+        let contact = Contact { graph: self.graph, informed: &self.informed, faults };
+        let n = self.graph.num_vertices();
+        let mut merge = |v| self.contacts.push(v);
+        self.messages_sent += draws.run(Items::All(n), self.round, &contact, &mut merge);
         self.newly.clear();
         for &v in &self.contacts {
             if self.informed.insert(v) {
@@ -347,71 +325,6 @@ impl SpreadingProcess for PushPullProcess<'_> {
             self.informed.collect_into(&mut self.informed_list);
         }
         self.round += 1;
-    }
-
-    // Stream mode: vertex `u` initiates both its push and its pull request, so its partner
-    // draw and the drop draw of either direction come from `u`'s `(vertex, round)` stream;
-    // the deferred contact application keeps the start-of-round semantics.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        let n = self.graph.num_vertices();
-        self.contacts.clear();
-        let graph = self.graph;
-        let round = self.round as u64;
-        let streams = engine.streams();
-        let informed = &self.informed;
-        let shards = engine.fan_out_ranges(n, |range| {
-            let mut contacts: Vec<VertexId> = Vec::new();
-            let mut messages = 0u64;
-            for u in range {
-                let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                messages += 1;
-                let mut rng = streams.stream(u as u64, round);
-                let partner = *sample::sample_slice(neighbors, &mut rng)
-                    .expect("neighbour slice is non-empty");
-                if informed.contains(u) && !informed.contains(partner) {
-                    if !faults.is_crashed(u)
-                        && !faults.severs(u, partner)
-                        && !faults.drops_from(&mut rng, u)
-                        && !faults.drops_on_edge(&mut rng, u, partner)
-                    {
-                        contacts.push(partner);
-                    }
-                } else if !informed.contains(u)
-                    && informed.contains(partner)
-                    && !faults.is_crashed(partner)
-                    && !faults.severs(partner, u)
-                    && !faults.drops_from(&mut rng, partner)
-                    && !faults.drops_on_edge(&mut rng, partner, u)
-                {
-                    contacts.push(u);
-                }
-            }
-            (contacts, messages)
-        });
-        self.newly.clear();
-        for (contacts, messages) in shards {
-            self.messages_sent += messages;
-            for v in contacts {
-                if self.informed.insert(v) {
-                    self.newly.push(v);
-                }
-            }
-        }
-        if !self.newly.is_empty() {
-            self.informed_list.clear();
-            self.informed.collect_into(&mut self.informed_list);
-        }
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

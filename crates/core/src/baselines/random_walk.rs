@@ -4,7 +4,7 @@ use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -74,67 +74,51 @@ impl<'g> RandomWalk<'g> {
     }
 }
 
-impl SpreadingProcess for RandomWalk<'_> {
-    // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.newly.clear();
-        // A crashed vertex never relays: a walker standing on one is stuck there forever.
-        // A dropped move message leaves the token in place for this round.
-        if faults.is_crashed(self.position) || faults.drops_from(rng, self.position) {
-            self.round += 1;
-            return;
-        }
-        if let Some(next) = self.graph.sample_neighbor(self.position, rng) {
-            // A severed cut blocks the traversal (the target draw is already consumed), as
-            // does a bad per-edge channel on the chosen link; otherwise the walker always
-            // moves — simple graphs have no self-loops.
-            if !faults.severs(self.position, next)
-                && !faults.drops_on_edge(rng, self.position, next)
-            {
-                self.active.remove(self.position);
-                self.position = next;
-                self.active.insert(next);
-                self.newly.push(next);
-                if self.visited.insert(next) {
-                    self.num_visited += 1;
-                }
-            }
-        }
-        self.round += 1;
+/// One walker's move from `position`: where it moves to, or `None` if it stays. A walker on
+/// a crashed vertex is stuck and a dropped move message leaves it in place; a severed cut
+/// (or a bad per-edge channel on the chosen link) blocks the traversal after the target
+/// draw.
+// cobra-lint: hot
+// cobra-lint: par
+// cobra-lint: draws(bounded)
+pub(crate) fn walk_move<R: RngCore + ?Sized>(
+    graph: &Graph,
+    faults: &StepFaults<'_>,
+    position: VertexId,
+    rng: &mut R,
+) -> Option<VertexId> {
+    if faults.is_crashed(position) || faults.drops_from(rng, position) {
+        return None;
     }
+    graph.sample_neighbor(position, rng).filter(|&next| {
+        !faults.severs(position, next) && !faults.drops_on_edge(rng, position, next)
+    })
+}
 
-    // Stream mode: a single walker has nothing to shard — it simply draws from the stream
-    // of its *current position* at this round, so the trajectory is a pure function of the
-    // trial key and the walk composes with the sharded processes under one contract.
+impl SpreadingProcess for RandomWalk<'_> {
+    // A single walker has nothing to shard: in stream mode it draws from the stream of its
+    // *current position* at this round, so the trajectory is a pure function of the trial
+    // key and the walk composes with the sharded processes under one contract.
+    // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
+    fn step_with(&mut self, mut draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
-        let mut rng = engine.stream(self.position as u64, self.round as u64);
-        if faults.is_crashed(self.position) || faults.drops_from(&mut rng, self.position) {
-            self.round += 1;
-            return Ok(());
-        }
-        if let Some(next) = self.graph.sample_neighbor(self.position, &mut rng) {
-            if !faults.severs(self.position, next)
-                && !faults.drops_on_edge(&mut rng, self.position, next)
-            {
-                self.active.remove(self.position);
-                self.position = next;
-                self.active.insert(next);
-                self.newly.push(next);
-                if self.visited.insert(next) {
-                    self.num_visited += 1;
-                }
+        let (graph, position) = (self.graph, self.position);
+        let moved = draws.with_entity_rng(position as u64, self.round, |rng| {
+            walk_move(graph, faults, position, rng)
+        });
+        // Simple graphs have no self-loops, so a move always changes the position.
+        if let Some(next) = moved {
+            self.active.remove(position);
+            self.position = next;
+            self.active.insert(next);
+            self.newly.push(next);
+            if self.visited.insert(next) {
+                self.num_visited += 1;
             }
         }
         self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

@@ -27,7 +27,7 @@ use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::{Claim, Draws, Items, Kernel, Sink};
 use crate::process::SpreadingProcess;
 use crate::{CoreError, Result};
 
@@ -321,51 +321,77 @@ impl<'g> CobraProcess<'g> {
     }
 }
 
-impl SpreadingProcess for CobraProcess<'_> {
+/// One frontier member's pushes: the per-vertex work of a COBRA round.
+struct Pushes<'a> {
+    graph: &'a Graph,
+    branching: Branching,
+    budgets: Option<&'a [u32]>,
+    boost: u32,
+    faults: &'a StepFaults<'a>,
+}
+
+impl Kernel for Pushes<'_> {
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        self.newly.clear();
-        // The frontier is ascending, so the RNG draw order matches the dense engine's
-        // 0..n scan exactly.
-        for &u in &self.frontier {
-            // A crashed vertex holds the token but never relays it.
-            if faults.is_crashed(u) {
-                continue;
-            }
-            let neighbors = self.graph.neighbors(u);
-            if neighbors.is_empty() {
-                continue;
-            }
-            // `boost` is 1 unless a defense raised it, so the inert path is exactly the
-            // original draw arithmetic (Fixed k and budget-table lookups consume zero
-            // words either way).
-            let pushes = match &self.budgets {
-                Some(budgets) => budgets[u],
-                None => self.branching.sample_pushes(rng),
-            } * self.boost;
-            for _ in 0..pushes {
-                // The drop decision precedes the target draw: a lost push samples nothing.
-                if faults.drops_from(rng, u) {
-                    continue;
-                }
-                let target =
-                    *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
-                // A severed cut blocks the push after the (already consumed) target draw;
-                // a per-edge channel may then drop it on the specific link chosen.
-                if faults.severs(u, target) || faults.drops_on_edge(rng, u, target) {
-                    continue;
-                }
-                if self.next_active.insert(target) {
-                    if !self.active.contains(target) {
-                        self.newly.push(target);
-                    }
-                    if self.visited.insert(target) {
-                        self.num_visited += 1;
-                    }
-                }
-            }
+    fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
+        // A crashed vertex holds the token but never relays it.
+        if self.faults.is_crashed(u) {
+            return;
         }
+        let neighbors = self.graph.neighbors(u);
+        if neighbors.is_empty() {
+            return;
+        }
+        // `boost` is 1 unless a defense raised it, so the inert path is exactly the
+        // original draw arithmetic (Fixed k and budget-table lookups consume zero words
+        // either way).
+        let pushes = match self.budgets {
+            Some(budgets) => budgets[u],
+            None => self.branching.sample_pushes(rng),
+        } * self.boost;
+        for _ in 0..pushes {
+            // The drop decision precedes the target draw: a lost push samples nothing.
+            if self.faults.drops_from(rng, u) {
+                continue;
+            }
+            let target =
+                *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+            // A severed cut blocks the push after the (already consumed) target draw; a
+            // per-edge channel may then drop it on the specific link chosen.
+            if self.faults.severs(u, target) || self.faults.drops_on_edge(rng, u, target) {
+                continue;
+            }
+            sink.propose(target);
+        }
+    }
+}
+
+impl SpreadingProcess for CobraProcess<'_> {
+    // The frontier is ascending and proposals are applied in sender order, so the shared
+    // draw order matches the dense engine's 0..n scan exactly.
+    // cobra-lint: hot
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        self.newly.clear();
+        let pushes = Pushes {
+            graph: self.graph,
+            branching: self.branching,
+            budgets: self.budgets.as_deref(),
+            boost: self.boost,
+            faults,
+        };
+        let fresh = |target| {
+            if !self.active.contains(target) {
+                self.newly.push(target);
+            }
+            if self.visited.insert(target) {
+                self.num_visited += 1;
+            }
+        };
+        let mut merge = Claim { next: &mut self.next_active, fresh };
+        draws.run(Items::Vertices(&self.frontier), self.round, &pushes, &mut merge);
         // Erase C_t through its own member list, then swap buffers: the erased bitset
         // becomes the all-clear scratch for the next round.
         self.active.clear_list(&self.frontier);
@@ -373,73 +399,6 @@ impl SpreadingProcess for CobraProcess<'_> {
         self.frontier.clear();
         self.active.collect_into(&mut self.frontier);
         self.round += 1;
-    }
-
-    // Stream mode: each frontier member draws pushes, drops and targets from its own
-    // `(vertex, round)` stream, so the shard fan-out below can split the frontier anywhere
-    // without changing a single draw.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.newly.clear();
-        let graph = self.graph;
-        let branching = self.branching;
-        let boost = self.boost;
-        let budgets = self.budgets.as_deref();
-        let round = self.round as u64;
-        let streams = engine.streams();
-        // Shards are contiguous and merged in shard order, so proposals arrive in
-        // sender-ascending order at every thread count — insertion order (hence `newly`,
-        // `visited` and the next frontier) is thread-invariant.
-        let shards = engine.fan_out(&self.frontier, |_, chunk| {
-            let mut proposals: Vec<VertexId> = Vec::with_capacity(chunk.len() * 2);
-            for &u in chunk {
-                if faults.is_crashed(u) {
-                    continue;
-                }
-                let neighbors = graph.neighbors(u);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                let mut rng = streams.stream(u as u64, round);
-                let pushes = match budgets {
-                    Some(budgets) => budgets[u],
-                    None => branching.sample_pushes(&mut rng),
-                } * boost;
-                for _ in 0..pushes {
-                    if faults.drops_from(&mut rng, u) {
-                        continue;
-                    }
-                    let target = *sample::sample_slice(neighbors, &mut rng)
-                        .expect("neighbour slice is non-empty");
-                    if faults.severs(u, target) || faults.drops_on_edge(&mut rng, u, target) {
-                        continue;
-                    }
-                    proposals.push(target);
-                }
-            }
-            proposals
-        });
-        for target in shards.into_iter().flatten() {
-            if self.next_active.insert(target) {
-                if !self.active.contains(target) {
-                    self.newly.push(target);
-                }
-                if self.visited.insert(target) {
-                    self.num_visited += 1;
-                }
-            }
-        }
-        self.active.clear_list(&self.frontier);
-        std::mem::swap(&mut self.active, &mut self.next_active);
-        self.frontier.clear();
-        self.active.collect_into(&mut self.frontier);
-        self.round += 1;
-        Ok(())
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
     }
 
     fn round(&self) -> usize {

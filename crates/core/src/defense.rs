@@ -63,6 +63,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::{build_adversarial, AdversaryBudget, ProcessView};
 use crate::fault::{FaultPlan, FaultedProcess, StepFaults};
+use crate::parallel::{Draws, DEFENSE_ENTITY};
 use crate::process::SpreadingProcess;
 use crate::spec::ProcessSpec;
 use crate::{CoreError, Result};
@@ -615,10 +616,14 @@ impl<'g> DefendedProcess<'g> {
 }
 
 impl SpreadingProcess for DefendedProcess<'_> {
+    // In stream mode the policy's observation draws come from the reserved DEFENSE_ENTITY
+    // stream at the current round.
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), rng);
+    fn step_with(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) {
+        let view = ProcessView::new(self.inner.as_ref(), self.graph);
+        draws.with_entity_rng(DEFENSE_ENTITY, view.round(), |rng| self.policy.observe(&view, rng));
         let actions = self.policy.actions();
         let multiplier = actions.k_multiplier.max(1);
         if !actions.reseed.is_empty() {
@@ -645,53 +650,10 @@ impl SpreadingProcess for DefendedProcess<'_> {
             let muted = StepFaults::new(1.0, outer.crashed_set())
                 .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
                 .with_partition(outer.severed_side());
-            self.inner.step_faulted(rng, &muted);
+            self.inner.step_with(draws, &muted);
         } else {
-            self.inner.step_faulted(rng, outer);
+            self.inner.step_with(draws, outer);
         }
-    }
-
-    // Stream mode: the policy's observation draws come from the reserved DEFENSE_ENTITY
-    // stream at the current round; lever accounting mirrors step_faulted's.
-    // cobra-lint: par
-    // cobra-lint: draws(bounded)
-    fn step_streams(
-        &mut self,
-        engine: &crate::parallel::ParallelFrontier,
-        outer: &StepFaults<'_>,
-    ) -> Result<()> {
-        let mut rng = engine.stream(crate::parallel::DEFENSE_ENTITY, self.inner.round() as u64);
-        self.policy.observe(&ProcessView::new(self.inner.as_ref(), self.graph), &mut rng);
-        let actions = self.policy.actions();
-        let multiplier = actions.k_multiplier.max(1);
-        if !actions.reseed.is_empty() {
-            let inserted = self.inner.reseed(actions.reseed);
-            if inserted > 0 {
-                self.stats.reseed_events += 1;
-                self.stats.reseeded_vertices += inserted;
-            }
-        }
-        if multiplier != self.applied_multiplier || multiplier > 1 {
-            let extra = self.inner.set_branching_boost(multiplier);
-            self.applied_multiplier = multiplier;
-            if multiplier > 1 {
-                self.stats.boost_rounds += 1;
-                self.stats.extra_transmissions += extra;
-            }
-        }
-        if actions.backoff > 0 {
-            self.stats.backoff_rounds += 1;
-            let muted = StepFaults::new(1.0, outer.crashed_set())
-                .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
-                .with_partition(outer.severed_side());
-            self.inner.step_streams(engine, &muted)
-        } else {
-            self.inner.step_streams(engine, outer)
-        }
-    }
-
-    fn supports_streams(&self) -> bool {
-        self.inner.supports_streams()
     }
 
     fn round(&self) -> usize {

@@ -27,8 +27,8 @@
 //!
 //! # Architecture
 //!
-//! Faults are applied *inside* each process step: [`SpreadingProcess::step_faulted`] receives
-//! a [`StepFaults`] view (drop probability + crashed set) and every process consults it at
+//! Faults are applied *inside* each process step: [`SpreadingProcess::step_with`] receives a
+//! [`StepFaults`] view (drop probability + crashed set) and every process consults it at
 //! its transmission points. The [`FaultedProcess`] wrapper owns a [`FaultPlan`], resolves the
 //! crash set (sampling it from the trial RNG on first use), advances the Gilbert–Elliott
 //! channel state once per round and forwards every step — so the `Runner`, all observers and
@@ -97,6 +97,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::AdversarySpec;
 use crate::defense::DefenseSpec;
+use crate::parallel::{Draws, FAULT_ENTITY};
 use crate::process::SpreadingProcess;
 use crate::sim::{Observer, RunOutcome, Runner, StopReason};
 use crate::spec::ProcessSpec;
@@ -569,7 +570,7 @@ impl fmt::Display for FaultPlan {
 }
 
 /// The per-round fault view a process consults inside
-/// [`step_faulted`](SpreadingProcess::step_faulted).
+/// [`step_with`](SpreadingProcess::step_with).
 ///
 /// Besides the oblivious faults of a [`FaultPlan`] — a global per-transmission drop
 /// probability and a crashed set — the view carries the two *state-aware* fault shapes the
@@ -705,7 +706,7 @@ impl<'a> StepFaults<'a> {
     /// RNG is untouched.
     // cobra-lint: draws(bounded)
     #[inline]
-    pub fn drops_from(&self, rng: &mut dyn RngCore, from: VertexId) -> bool {
+    pub fn drops_from<R: RngCore + ?Sized>(&self, rng: &mut R, from: VertexId) -> bool {
         if self.drop > 0.0 && rng.gen_bool(self.drop) {
             return true;
         }
@@ -741,7 +742,12 @@ impl<'a> StepFaults<'a> {
     /// before target selection.
     // cobra-lint: draws(bounded)
     #[inline]
-    pub fn drops_on_edge(&self, rng: &mut dyn RngCore, from: VertexId, to: VertexId) -> bool {
+    pub fn drops_on_edge<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        from: VertexId,
+        to: VertexId,
+    ) -> bool {
         let f = self.edge_drop_probability(from, to);
         f > 0.0 && rng.gen_bool(f)
     }
@@ -1408,50 +1414,30 @@ impl<'g> FaultedProcess<'g> {
 }
 
 impl SpreadingProcess for FaultedProcess<'_> {
+    // Compose with faults injected by an outer caller (an adversary wrapper or nested
+    // fault wrappers): drops are independent, outer crashes fold into the plan's set, and
+    // the outer's targeted drop / severed partition pass through unchanged (the plan
+    // itself never emits those shapes). In stream mode the plan's own dynamics (crash
+    // resolution, repair sweeps, the Gilbert–Elliott channels) draw from the reserved
+    // FAULT_ENTITY stream at the current round, so crash evolution is identical at every
+    // thread count.
     // cobra-lint: hot
-    // cobra-lint: draws(bounded)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, outer: &StepFaults<'_>) {
-        // Compose with faults injected by an outer caller (an adversary wrapper or nested
-        // fault wrappers): drops are independent, outer crashes fold into the plan's set,
-        // and the outer's targeted drop / severed partition pass through unchanged (the
-        // plan itself never emits those shapes).
-        let own = self.dynamics.begin_round(rng, outer.crashed_set());
-        if let Some(channels) = self.edges.as_mut() {
-            channels.advance(rng);
-        }
-        let drop = 1.0 - (1.0 - own) * (1.0 - outer.drop_probability());
-        let faults = StepFaults::new(drop, self.dynamics.crashed())
-            .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
-            .with_partition(outer.severed_side())
-            .with_edge_channels(self.edges.as_ref().or(outer.edge_channels()));
-        self.inner.step_faulted(rng, &faults);
-    }
-
-    // Stream mode: the plan's own dynamics (crash resolution, repair sweeps, the
-    // Gilbert–Elliott channel) draw from the reserved FAULT_ENTITY stream at the current
-    // round, so crash evolution is identical at every thread count.
     // cobra-lint: par
     // cobra-lint: draws(bounded)
-    fn step_streams(
-        &mut self,
-        engine: &crate::parallel::ParallelFrontier,
-        outer: &StepFaults<'_>,
-    ) -> Result<()> {
-        let mut rng = engine.stream(crate::parallel::FAULT_ENTITY, self.inner.round() as u64);
-        let own = self.dynamics.begin_round(&mut rng, outer.crashed_set());
-        if let Some(channels) = self.edges.as_mut() {
-            channels.advance(&mut rng);
-        }
+    fn step_with(&mut self, mut draws: Draws<'_>, outer: &StepFaults<'_>) {
+        let own = draws.with_entity_rng(FAULT_ENTITY, self.inner.round(), |rng| {
+            let own = self.dynamics.begin_round(rng, outer.crashed_set());
+            if let Some(channels) = self.edges.as_mut() {
+                channels.advance(rng);
+            }
+            own
+        });
         let drop = 1.0 - (1.0 - own) * (1.0 - outer.drop_probability());
         let faults = StepFaults::new(drop, self.dynamics.crashed())
             .with_targeted(outer.targeted_drop_probability(), outer.targeted_set())
             .with_partition(outer.severed_side())
             .with_edge_channels(self.edges.as_ref().or(outer.edge_channels()));
-        self.inner.step_streams(engine, &faults)
-    }
-
-    fn supports_streams(&self) -> bool {
-        self.inner.supports_streams()
+        self.inner.step_with(draws, &faults);
     }
 
     fn round(&self) -> usize {
@@ -1521,8 +1507,9 @@ struct OffsetRounds<'p> {
 
 impl SpreadingProcess for OffsetRounds<'_> {
     // cobra-lint: hot
+    // cobra-lint: par
     // cobra-lint: draws(0)
-    fn step_faulted(&mut self, _rng: &mut dyn RngCore, _faults: &StepFaults<'_>) {
+    fn step_with(&mut self, _draws: Draws<'_>, _faults: &StepFaults<'_>) {
         unreachable!("the churn observer view is read-only")
     }
 
@@ -1907,7 +1894,7 @@ mod tests {
             let inner = spec.build(&graph).unwrap();
             let mut faulted = FaultedProcess::new(inner, &plan, 0).unwrap();
             let mut r = rng(seed);
-            faulted.step_faulted(&mut r, &StepFaults::NONE);
+            faulted.step(&mut r);
             let crashed = faulted.crashed().expect("25% of 40 vertices crash");
             assert_eq!(crashed.count(), 10);
             assert!(!crashed.contains(0), "the start vertex must never crash");
@@ -2025,7 +2012,7 @@ mod tests {
         let mut ever_changed = false;
         let mut previous: Option<Vec<usize>> = None;
         for _ in 0..200 {
-            faulted.step_faulted(&mut r, &StepFaults::NONE);
+            faulted.step(&mut r);
             let crashed = faulted.crashed().expect("25% of 64 vertices crash initially");
             assert!(!crashed.contains(0), "the protected start never crashes");
             let members: Vec<usize> = crashed.iter().collect();
@@ -2051,10 +2038,10 @@ mod tests {
         let plan = FaultPlan { crash: CrashSpec::Percent { percent: 25.0 }, ..FaultPlan::none() };
         let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
         let mut r = rng(3);
-        faulted.step_faulted(&mut r, &StepFaults::NONE);
+        faulted.step(&mut r);
         let initial: Vec<usize> = faulted.crashed().unwrap().iter().collect();
         for _ in 0..50 {
-            faulted.step_faulted(&mut r, &StepFaults::NONE);
+            faulted.step(&mut r);
         }
         let later: Vec<usize> = faulted.crashed().unwrap().iter().collect();
         assert_eq!(initial, later, "without repair= the crash set is permanent");
@@ -2072,7 +2059,7 @@ mod tests {
         };
         let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &plan, 0).unwrap();
         let mut r = rng(5);
-        faulted.step_faulted(&mut r, &StepFaults::NONE);
+        faulted.step(&mut r);
         assert_eq!(faulted.crashed().unwrap().count(), 0, "repair=1 heals everything");
         faulted.reset();
         let restored: Vec<usize> = faulted.crashed().unwrap().iter().collect();
@@ -2081,7 +2068,7 @@ mod tests {
         // Sampled sets are re-drawn per trial.
         let sampled = FaultPlan { crash: CrashSpec::Count { count: 4 }, ..FaultPlan::default() };
         let mut faulted = FaultedProcess::new(spec.build(&graph).unwrap(), &sampled, 0).unwrap();
-        faulted.step_faulted(&mut r, &StepFaults::NONE);
+        faulted.step(&mut r);
         assert_eq!(faulted.crashed().unwrap().count(), 4);
         faulted.reset();
         assert!(faulted.crashed().is_none(), "the next trial draws a fresh set");

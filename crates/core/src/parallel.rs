@@ -37,6 +37,21 @@
 //!   sequential engine (the draws come from different streams by design), but cover-time
 //!   distributions match — enforced by matched-quantile tests under common random numbers
 //!   at the trial level.
+//!
+//! # One step, two draw sources
+//!
+//! Every process has exactly one stepping body,
+//! [`SpreadingProcess::step_with`], which takes its randomness as [`Draws`]:
+//!
+//! * [`Draws::Shared`] — determinism v1: one shared sequential stream consumed in the
+//!   process's iteration order, with proposals applied the moment they are made;
+//! * [`Draws::Streams`] — determinism v2: the per-`(entity, round)` streams above, with
+//!   items sharded across the engine's threads and proposals merged in item order.
+//!
+//! A process writes its per-item work once, as a kernel generic over the RNG type, and
+//! hands it to the crate-internal driver here, which runs it over a frontier, a walker
+//! vector or the full vertex range in either mode. Wrappers draw their own dynamics through
+//! [`Draws::with_entity_rng`]: the shared stream itself, or their reserved entity's stream.
 
 use cobra_graph::sample::VertexStreams;
 use cobra_graph::{Graph, VertexBitset, VertexId};
@@ -59,8 +74,207 @@ pub const ADVERSARY_ENTITY: u64 = u64::MAX - 1;
 /// draws.
 pub const DEFENSE_ENTITY: u64 = u64::MAX - 2;
 
-/// The per-trial stream engine handed to [`SpreadingProcess::step_streams`]: the trial's
-/// [`VertexStreams`] key plus the worker-thread count for sharded frontier iteration.
+/// Where one [`step_with`](SpreadingProcess::step_with) takes its randomness from.
+pub enum Draws<'a> {
+    /// Determinism v1: one shared sequential stream, consumed in the process's iteration
+    /// order; proposals are applied directly.
+    Shared(&'a mut dyn RngCore),
+    /// Determinism v2: every entity draws from its own `(entity, round)` stream of the
+    /// engine; items are sharded across its threads and proposals merged in item order.
+    Streams(&'a ParallelFrontier),
+}
+
+impl std::fmt::Debug for Draws<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if matches!(self, Draws::Shared(_)) {
+            "Draws::Shared"
+        } else {
+            "Draws::Streams"
+        })
+    }
+}
+
+/// Where a kernel's output goes: proposed activations and sent messages. A process passes
+/// its merge — what applying a proposal means for its next state — as a sink too.
+pub(crate) trait Sink {
+    /// Proposes (or, for a process's merge, applies) the activation of `v`.
+    fn propose(&mut self, v: VertexId);
+
+    /// Whether `v` was already claimed this round. Only the shared path applies proposals
+    /// as they are made, so only it can answer; stream shards always answer `false`, which
+    /// keeps every entity's draw count independent of the schedule.
+    fn claimed(&self, v: VertexId) -> bool {
+        let _ = v;
+        false
+    }
+
+    /// Counts one sent message (PUSH and PUSH–PULL cost accounting).
+    fn message(&mut self) {}
+}
+
+impl<F: FnMut(VertexId)> Sink for F {
+    fn propose(&mut self, v: VertexId) {
+        self(v);
+    }
+}
+
+/// One process's per-item work for a round, written once for both draw sources: `rng` is
+/// the shared `dyn RngCore` or the item's own ChaCha8 stream.
+pub(crate) trait Kernel: Sync {
+    /// Runs the work of `item` (a vertex, or a walker's position).
+    fn run<R: RngCore + ?Sized, S: Sink>(&self, item: VertexId, rng: &mut R, sink: &mut S);
+}
+
+/// The common merge: claim `v` in `next`, and run `fresh` when it was not claimed before.
+pub(crate) struct Claim<'a, F> {
+    pub(crate) next: &'a mut VertexBitset,
+    pub(crate) fresh: F,
+}
+
+impl<F: FnMut(VertexId)> Sink for Claim<'_, F> {
+    fn propose(&mut self, v: VertexId) {
+        if self.next.insert(v) {
+            (self.fresh)(v);
+        }
+    }
+
+    fn claimed(&self, v: VertexId) -> bool {
+        self.next.contains(v)
+    }
+}
+
+/// The items a driver pass iterates, and whose stream each one draws from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Items<'a> {
+    /// Frontier vertices, each drawing from its own vertex stream.
+    Vertices(&'a [VertexId]),
+    /// Every vertex `0..n`, each drawing from its own vertex stream.
+    All(usize),
+    /// Walker positions: walker `i` owns stream `i` (keying by position would weld
+    /// co-located walkers together — they would share every draw and never separate).
+    Walkers(&'a [VertexId]),
+}
+
+/// The shared path's sink: proposals go straight to the process's merge.
+struct Direct<'m, M> {
+    merge: &'m mut M,
+    messages: u64,
+}
+
+impl<M: Sink> Sink for Direct<'_, M> {
+    fn propose(&mut self, v: VertexId) {
+        self.merge.propose(v);
+    }
+
+    fn claimed(&self, v: VertexId) -> bool {
+        self.merge.claimed(v)
+    }
+
+    fn message(&mut self) {
+        self.messages += 1;
+    }
+}
+
+/// One stream shard's buffered output, merged in shard order after the fan-out.
+struct Shard {
+    proposals: Vec<VertexId>,
+    messages: u64,
+}
+
+impl Sink for Shard {
+    fn propose(&mut self, v: VertexId) {
+        self.proposals.push(v);
+    }
+
+    fn message(&mut self) {
+        self.messages += 1;
+    }
+}
+
+/// Runs `kernel` over one shard's `(entity, item)` pairs, each on its own stream.
+// cobra-lint: par
+// cobra-lint: draws(bounded)
+fn run_shard<K: Kernel>(
+    engine: &ParallelFrontier,
+    round: u64,
+    kernel: &K,
+    items: impl ExactSizeIterator<Item = (u64, VertexId)>,
+) -> Shard {
+    let mut shard = Shard { proposals: Vec::with_capacity(items.len()), messages: 0 };
+    for (entity, item) in items {
+        kernel.run(item, &mut engine.stream(entity, round), &mut shard);
+    }
+    shard
+}
+
+impl Draws<'_> {
+    /// Runs `f` on the RNG for `entity`'s draws at `round`: the shared stream itself, or
+    /// the entity's own stream. Wrappers draw their dynamics through this with their
+    /// reserved entity id.
+    // cobra-lint: draws(bounded)
+    pub fn with_entity_rng<T>(
+        &mut self,
+        entity: u64,
+        round: usize,
+        f: impl FnOnce(&mut dyn RngCore) -> T,
+    ) -> T {
+        match self {
+            Draws::Shared(rng) => f(&mut **rng),
+            Draws::Streams(engine) => f(&mut engine.stream(entity, round as u64)),
+        }
+    }
+
+    /// Runs `kernel` once per item of round `round` and applies its proposals through
+    /// `merge` in item order, returning the number of messages the kernel counted. Shared
+    /// draws run the items in order on the one stream, applying each proposal at once;
+    /// streams shard the items across the engine's threads and merge the buffered
+    /// proposals in shard order, so the result is the same at every thread count.
+    // cobra-lint: par
+    // cobra-lint: draws(bounded)
+    pub(crate) fn run<K: Kernel, M: Sink>(
+        self,
+        items: Items<'_>,
+        round: usize,
+        kernel: &K,
+        merge: &mut M,
+    ) -> u64 {
+        let engine = match self {
+            Draws::Shared(rng) => {
+                let mut sink = Direct { merge, messages: 0 };
+                match items {
+                    Items::Vertices(items) | Items::Walkers(items) => {
+                        items.iter().for_each(|&item| kernel.run(item, rng, &mut sink));
+                    }
+                    Items::All(n) => (0..n).for_each(|item| kernel.run(item, rng, &mut sink)),
+                }
+                return sink.messages;
+            }
+            Draws::Streams(engine) => engine,
+        };
+        let round = round as u64;
+        let shards = match items {
+            Items::Vertices(items) => engine.fan_out(items, |_, chunk| {
+                run_shard(engine, round, kernel, chunk.iter().map(|&v| (v as u64, v)))
+            }),
+            Items::Walkers(items) => engine.fan_out(items, |base, chunk| {
+                let entities = chunk.iter().enumerate().map(|(i, &v)| ((base + i) as u64, v));
+                run_shard(engine, round, kernel, entities)
+            }),
+            Items::All(n) => engine.fan_out_ranges(n, |range| {
+                run_shard(engine, round, kernel, range.map(|v| (v as u64, v)))
+            }),
+        };
+        let mut messages = 0;
+        for shard in shards {
+            messages += shard.messages;
+            shard.proposals.into_iter().for_each(|v| merge.propose(v));
+        }
+        messages
+    }
+}
+
+/// The per-trial stream engine behind [`Draws::Streams`]: the trial's [`VertexStreams`]
+/// key plus the worker-thread count for sharded frontier iteration.
 #[derive(Debug, Clone)]
 pub struct ParallelFrontier {
     streams: VertexStreams,
@@ -114,7 +328,7 @@ impl ParallelFrontier {
     /// Shards `items` across the engine's threads, collecting each shard's result in shard
     /// order: `op(shard_base, shard_items)` runs on scoped threads via the vendored rayon.
     /// Shards are contiguous, so concatenating the results preserves item order — the
-    /// property every `step_streams` merge relies on for thread-count invariance.
+    /// property the stream merge relies on for thread-count invariance.
     pub fn fan_out<T, R, F>(&self, items: &[T], op: F) -> Vec<R>
     where
         T: Sync,
@@ -135,14 +349,11 @@ impl ParallelFrontier {
     }
 }
 
-/// Wraps a stream-capable process so the ordinary [`SpreadingProcess`] driving loop — the
-/// `Runner`, observers, the Monte-Carlo driver, `repro` — runs it in stream mode without
-/// any changes: [`step_faulted`](SpreadingProcess::step_faulted) ignores the caller's RNG
-/// (all randomness comes from the per-entity streams) and forwards to
-/// [`step_streams`](SpreadingProcess::step_streams) with the held engine.
-///
-/// Construction refuses processes (or wrapper stacks) that do not support stream mode, so
-/// a `ParallelProcess` can never silently fall back to sequential draw order.
+/// Wraps a process so the ordinary [`SpreadingProcess`] driving loop — the `Runner`,
+/// observers, the Monte-Carlo driver, `repro` — runs it in stream mode without any
+/// changes: [`step_with`](SpreadingProcess::step_with) ignores the caller's draws (all
+/// randomness comes from the per-entity streams) and steps the inner process with
+/// [`Draws::Streams`] over the held engine.
 pub struct ParallelProcess<'g> {
     inner: Box<dyn SpreadingProcess + Send + 'g>,
     engine: ParallelFrontier,
@@ -156,37 +367,22 @@ impl std::fmt::Debug for ParallelProcess<'_> {
 
 impl<'g> ParallelProcess<'g> {
     /// Wraps `inner` under `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameters`] if `inner` (or any layer of its wrapper
-    /// stack) does not implement [`SpreadingProcess::step_streams`].
-    pub fn new(
-        inner: Box<dyn SpreadingProcess + Send + 'g>,
-        engine: ParallelFrontier,
-    ) -> Result<Self> {
-        if !inner.supports_streams() {
-            return Err(CoreError::InvalidParameters {
-                reason: "process does not support per-vertex stream stepping; the parallel \
-                         engine cannot drive it"
-                    .to_string(),
-            });
-        }
-        Ok(ParallelProcess { inner, engine })
+    pub fn new(inner: Box<dyn SpreadingProcess + Send + 'g>, engine: ParallelFrontier) -> Self {
+        ParallelProcess { inner, engine }
     }
 
     /// Convenience constructor drawing the stream key from the trial RNG.
     ///
     /// # Errors
     ///
-    /// As [`ParallelProcess::new`], plus `threads == 0` rejection.
+    /// Returns [`CoreError::InvalidParameters`] if `threads == 0`.
     // cobra-lint: draws(bounded)
     pub fn from_rng(
         inner: Box<dyn SpreadingProcess + Send + 'g>,
         threads: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Self> {
-        Self::new(inner, ParallelFrontier::from_rng(rng, threads)?)
+        Ok(Self::new(inner, ParallelFrontier::from_rng(rng, threads)?))
     }
 
     /// The held engine.
@@ -201,24 +397,14 @@ impl<'g> ParallelProcess<'g> {
 }
 
 impl SpreadingProcess for ParallelProcess<'_> {
-    // The caller's RNG is deliberately untouched: stream mode draws only from the
+    // The caller's draws are deliberately untouched: stream mode draws only from the
     // per-entity streams, which is exactly what makes the trajectory thread-invariant.
     // cobra-lint: hot
-    // cobra-lint: draws(0)
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>) {
-        let _ = rng;
-        self.inner
-            .step_streams(&self.engine, faults)
-            .expect("stream support was verified at construction");
-    }
-
     // cobra-lint: par
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        self.inner.step_streams(engine, faults)
-    }
-
-    fn supports_streams(&self) -> bool {
-        true
+    // cobra-lint: draws(0)
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
+        let _ = draws;
+        self.inner.step_with(Draws::Streams(&self.engine), faults);
     }
 
     fn round(&self) -> usize {
@@ -281,9 +467,7 @@ impl SpreadingProcess for ParallelProcess<'_> {
 ///
 /// # Errors
 ///
-/// Propagates spec build failures, rejects `threads == 0`, and rejects specs whose stack
-/// does not support stream mode (none today — all seven processes and all three wrappers
-/// implement it; the error path guards future processes).
+/// Propagates spec build failures and rejects `threads == 0`.
 // cobra-lint: draws(bounded)
 pub fn build_parallel<'g>(
     spec: &crate::spec::ProcessSpec,
@@ -322,41 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_refuses_stream_incapable_processes() {
-        // OffsetRounds-style fakes don't implement step_streams; emulate with a minimal stub.
-        struct NoStreams(VertexBitset);
-        impl SpreadingProcess for NoStreams {
-            fn step_faulted(&mut self, _: &mut dyn RngCore, _: &StepFaults<'_>) {}
-            fn round(&self) -> usize {
-                0
-            }
-            fn active(&self) -> &VertexBitset {
-                &self.0
-            }
-            fn num_active(&self) -> usize {
-                0
-            }
-            fn newly_activated(&self) -> &[VertexId] {
-                &[]
-            }
-            fn is_complete(&self) -> bool {
-                false
-            }
-            fn reset(&mut self) {}
-        }
-        let stub: Box<dyn SpreadingProcess + Send> = Box::new(NoStreams(VertexBitset::new(4)));
-        let engine = ParallelFrontier::new(VertexStreams::new([0u8; 32]), 2).unwrap();
-        assert!(ParallelProcess::new(stub, engine).is_err());
-    }
-
-    #[test]
     fn parallel_cobra_runs_to_completion_and_ignores_the_caller_rng() {
         let g = generators::connected_random_regular(128, 4, &mut ChaCha12Rng::seed_from_u64(3))
             .unwrap();
         let run = |caller_seed: u64| {
             let cobra = CobraProcess::new(&g, 0, Branching::fixed(2).unwrap()).unwrap();
             let engine = ParallelFrontier::new(VertexStreams::new([11u8; 32]), 2).unwrap();
-            let mut p = ParallelProcess::new(Box::new(cobra), engine).unwrap();
+            let mut p = ParallelProcess::new(Box::new(cobra), engine);
             let mut rng = ChaCha12Rng::seed_from_u64(caller_seed);
             run_until_complete(&mut p, &mut rng, 100_000).unwrap()
         };

@@ -4,7 +4,7 @@ use cobra_graph::{VertexBitset, VertexId};
 use rand::RngCore;
 
 use crate::fault::StepFaults;
-use crate::parallel::ParallelFrontier;
+use crate::parallel::Draws;
 use crate::{CoreError, Result};
 
 /// A synchronous, round-based process spreading information (or infection) over a fixed graph.
@@ -33,6 +33,14 @@ use crate::{CoreError, Result};
 /// (`O(|A_t| · k)` per round for the push-style processes) by iterating explicit frontier
 /// vectors and erasing scratch bitsets through dirty lists instead of `fill(false)`.
 ///
+/// # One stepping body
+///
+/// A process implements its round once, in [`step_with`](SpreadingProcess::step_with),
+/// and the [`Draws`] argument selects the engine: the shared sequential stream of
+/// [`step`](SpreadingProcess::step), or the per-entity streams that
+/// [`ParallelProcess`](crate::parallel::ParallelProcess) substitutes. Every process
+/// therefore steps in both modes by construction.
+///
 /// The trait is **object-safe**: processes are routinely handled as
 /// `Box<dyn SpreadingProcess>` so heterogeneous collections can be driven through the same
 /// loop and a [`ProcessSpec`](crate::spec::ProcessSpec) can instantiate any process by name
@@ -40,55 +48,29 @@ use crate::{CoreError, Result};
 /// of a generic parameter — concrete RNGs coerce at the call site
 /// (`process.step(&mut rng)`), so callers are unaffected.
 pub trait SpreadingProcess {
-    /// Advances the process by one round.
+    /// Advances the process by one round on the shared stream `rng`, fault-free.
     // cobra-lint: draws(bounded)
     fn step(&mut self, rng: &mut dyn RngCore) {
-        self.step_faulted(rng, &StepFaults::NONE);
+        self.step_with(Draws::Shared(rng), &StepFaults::NONE);
     }
 
-    /// Advances the process by one round under the given fault view: transmissions are lost
-    /// i.i.d. with the view's drop probability and crashed vertices never relay (they still
-    /// receive). This is the required stepping method; [`step`](Self::step) forwards to it
-    /// with [`StepFaults::NONE`].
+    /// Advances the process by one round — the one stepping body every process and
+    /// wrapper implements.
     ///
-    /// Implementations must not touch the RNG for a benign view, so that a zero-fault
-    /// wrapper stays bit-identical to the bare process (see
-    /// [`fault`](crate::fault)).
-    fn step_faulted(&mut self, rng: &mut dyn RngCore, faults: &StepFaults<'_>);
-
-    /// Advances the process by one round in **stream mode**: every entity (vertex or
-    /// walker) draws from its own counter-based RNG stream
-    /// ([`VertexStreams`](cobra_graph::sample::VertexStreams)) instead of a shared
-    /// sequential stream, and frontier iteration may be sharded across the threads of
-    /// `engine`. Because the streams are keyed by `(entity, round)` — never by execution
-    /// schedule — the resulting trajectory is **identical for every thread count**,
-    /// including `threads = 1`.
+    /// `draws` says where the randomness comes from: [`Draws::Shared`] consumes one
+    /// sequential stream in the process's iteration order (determinism v1), while
+    /// [`Draws::Streams`] gives every entity (vertex or walker) its own counter-based
+    /// stream keyed by `(entity, round)` and may shard the round across the engine's
+    /// threads, so the trajectory is identical for every thread count (determinism v2,
+    /// see [`crate::parallel`]). Per-transmission drop draws come from the initiating
+    /// entity's RNG; wrapper dynamics draw through
+    /// [`Draws::with_entity_rng`](crate::parallel::Draws::with_entity_rng).
     ///
-    /// Fault semantics match [`step_faulted`](Self::step_faulted) exactly, except that
-    /// per-transmission drop draws come from the *initiating* entity's stream, and wrapper
-    /// dynamics draw from reserved entities (see [`crate::parallel`]); a benign view must
-    /// leave every vertex stream untouched beyond the process's own draws.
-    ///
-    /// # Errors
-    ///
-    /// The default returns [`CoreError::InvalidParameters`]: stream mode is opt-in per
-    /// process, gated by [`supports_streams`](Self::supports_streams). Implementations
-    /// return `Ok(())` after stepping.
-    // cobra-lint: par
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
-        let _ = (engine, faults);
-        Err(CoreError::InvalidParameters {
-            reason: "process does not implement per-vertex stream stepping".to_string(),
-        })
-    }
-
-    /// Whether [`step_streams`](Self::step_streams) is implemented (including by every
-    /// layer of a wrapper stack). [`crate::parallel::ParallelProcess`] refuses at
-    /// construction when this is false, so stream mode can never silently fall back to the
-    /// sequential draw order.
-    fn supports_streams(&self) -> bool {
-        false
-    }
+    /// Under the `faults` view transmissions are lost with the view's drop probabilities
+    /// and crashed vertices never relay (they still receive). Implementations must not
+    /// touch the RNG for a benign view, so that a zero-fault wrapper stays bit-identical
+    /// to the bare process (see [`fault`](crate::fault)).
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>);
 
     /// Number of rounds performed so far (0 for a freshly constructed process).
     fn round(&self) -> usize;
@@ -293,7 +275,7 @@ mod tests {
 
     impl SpreadingProcess for Sweep {
         // A deterministic fake has no transmissions to fault.
-        fn step_faulted(&mut self, _rng: &mut dyn RngCore, _faults: &StepFaults<'_>) {
+        fn step_with(&mut self, _draws: Draws<'_>, _faults: &StepFaults<'_>) {
             self.round += 1;
             self.newly.clear();
             if self.round < self.active.len() {

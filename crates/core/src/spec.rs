@@ -370,10 +370,10 @@ impl ProcessSpec {
     ///
     /// # Errors
     ///
-    /// As [`build`](Self::build), plus rejection of `threads == 0` and of specs whose
-    /// wrapper stack does not support stream stepping (churn plans, which re-instantiate
-    /// the graph mid-run, are already rejected by `build` itself outside
-    /// [`fault::run_churned`](crate::fault::run_churned)).
+    /// As [`build`](Self::build), plus rejection of `threads == 0`. Every process and
+    /// wrapper steps in stream mode by construction; churn plans, which re-instantiate the
+    /// graph mid-run, are already rejected by `build` itself outside
+    /// [`fault::run_churned`](crate::fault::run_churned).
     // cobra-lint: draws(bounded)
     pub fn build_parallel<'g>(
         &self,

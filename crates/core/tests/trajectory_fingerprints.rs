@@ -74,7 +74,7 @@ fn sequential_fingerprint(spec: &ProcessSpec, graph: &Graph, seed: u64) -> u64 {
 fn stream_fingerprint(spec: &ProcessSpec, graph: &Graph, key: [u8; 32]) -> u64 {
     let inner = spec.build(graph).expect("spec builds");
     let engine = ParallelFrontier::new(VertexStreams::new(key), 3).expect("threads >= 1");
-    let mut p = ParallelProcess::new(inner, engine).expect("stream support");
+    let mut p = ParallelProcess::new(inner, engine);
     let mut unused = ChaCha12Rng::seed_from_u64(0xDEAD);
     let mut h = Fnv1a::new();
     fold_round(&mut h, &p);

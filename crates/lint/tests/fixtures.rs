@@ -58,7 +58,7 @@ fn r2_ok_fixture_is_clean_via_btree_and_membership_annotation() {
 fn r3_bad_fixture_fires_on_missing_hot_and_on_hot_allocation() {
     let v = lint_source("crates/core/src/fixture.rs", include_str!("fixtures/r3_bad.rs"));
     let r3: Vec<_> = v.iter().filter(|v| v.rule == "R3").collect();
-    // Unannotated step_faulted + Vec::new + format! inside the hot fn.
+    // Unannotated step_with + Vec::new + format! inside the hot fn.
     assert_eq!(r3.len(), 3, "{v:?}");
     assert!(
         r3.iter().any(|v| v.message.contains("mandatory hot path")),
@@ -96,7 +96,7 @@ fn r4_ok_fixture_is_clean_with_draw_contracts() {
 fn r5_bad_fixture_fires_on_missing_par_and_shared_state() {
     let v = lint_source("crates/core/src/fixture.rs", include_str!("fixtures/r5_bad.rs"));
     let r5: Vec<_> = v.iter().filter(|v| v.rule == "R5").collect();
-    // Unannotated step_streams + RefCell + Rc (twice: annotation and construction) +
+    // Unannotated step_with + RefCell + Rc (twice: annotation and construction) +
     // static mut inside the par fn.
     assert!(r5.len() >= 4, "{v:?}");
     assert!(
@@ -111,7 +111,7 @@ fn r5_bad_fixture_fires_on_missing_par_and_shared_state() {
         r5.iter().any(|v| v.message.contains("static")),
         "static-mut diagnostic expected: {v:?}"
     );
-    // The step_streams obligation is scoped to crates/core.
+    // The step_with obligation is scoped to crates/core.
     let elsewhere = lint_source("crates/stats/src/fixture.rs", include_str!("fixtures/r5_bad.rs"));
     assert!(
         !elsewhere.iter().any(|v| v.message.contains("annotate it")),

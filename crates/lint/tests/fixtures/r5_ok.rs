@@ -1,22 +1,28 @@
-// R5 fixture: the sharded step path annotated par, shard results flowing back through the
+// R5 fixture: the step path annotated par, shard results flowing back through the
 // engine's ordered merge — no shared cells, plus one documented membership-only exception.
+// The shard buffers live in the (par, not hot) driver, so the step itself stays hot.
 impl SpreadingProcess for Demo {
+    // cobra-lint: hot
     // cobra-lint: par
-    fn step_streams(&mut self, engine: &ParallelFrontier, faults: &StepFaults<'_>) -> Result<()> {
+    fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
-        let graph = self.graph;
-        let shards = engine.fan_out(&self.frontier, |_, chunk| {
-            let mut proposals = Vec::with_capacity(chunk.len());
-            for &u in chunk {
-                proposals.extend(graph.neighbors(u));
-            }
-            proposals
-        });
-        for target in shards.into_iter().flatten() {
+        for target in self.propose(&self.engine) {
             self.next_active.insert(target);
         }
-        Ok(())
     }
+}
+
+// cobra-lint: par
+fn propose(&self, engine: &ParallelFrontier) -> Vec<VertexId> {
+    let graph = self.graph;
+    let shards = engine.fan_out(&self.frontier, |_, chunk| {
+        let mut proposals = Vec::with_capacity(chunk.len());
+        for &u in chunk {
+            proposals.extend(graph.neighbors(u));
+        }
+        proposals
+    });
+    shards.into_iter().flatten().collect()
 }
 
 // cobra-lint: par

@@ -1,9 +1,9 @@
 //! Zero-fault wrappers are a no-op: a `FaultedProcess` with `drop=0`, no crashes and no
 //! churn must reproduce the bare process **bit for bit** under the same seeded RNG — the
-//! fault hooks inside every `step_faulted` implementation may not touch the RNG or the
-//! bookkeeping when the fault view is benign. This extends the engine-equivalence
-//! discipline of `tests/frontier_equivalence.rs` to the fault layer, for all seven
-//! processes.
+//! fault hooks inside every `step_with` implementation (one stepping body per process,
+//! whichever `Draws` source it runs on) may not touch the RNG or the bookkeeping when the
+//! fault view is benign. This extends the engine-equivalence discipline of
+//! `tests/frontier_equivalence.rs` to the fault layer, for all seven processes.
 //!
 //! The Gilbert–Elliott channel is held to the same standard at its degenerate corners:
 //! a *lossless* channel (`fb = fg = 0`) is bit-identical to the bare process regardless of
