@@ -142,6 +142,7 @@ impl Kernel for Transmissions<'_> {
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
         let faults = self.faults;
         // A crashed vertex stays ill without infecting anyone (recovery still applies).
@@ -196,8 +197,8 @@ impl SpreadingProcess for ContactProcess<'_> {
                 self.newly.push(v);
             }
         };
-        let mut merge = Claim { next: &mut self.next_infected, fresh };
-        draws.run(Items::Vertices(&self.frontier), self.round, &transmissions, &mut merge);
+        let merge = Claim { next: &mut self.next_infected, fresh };
+        draws.run(Items::Vertices(&self.frontier), self.round, &transmissions, merge);
         if self.persistent_source
             && self.next_infected.insert(self.source)
             && !self.infected.contains(self.source)

@@ -111,6 +111,7 @@ impl Kernel for Moves<'_> {
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     fn run<R: RngCore + ?Sized, S: Sink>(&self, position: VertexId, rng: &mut R, sink: &mut S) {
         sink.propose(walk_move(self.graph, self.faults, position, rng).unwrap_or(position));
     }
@@ -128,7 +129,7 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
         self.next_list.clear();
         self.newly.clear();
         self.landed.clear();
-        let mut merge = |p| {
+        let merge = |p| {
             self.landed.push(p);
             if self.next_active.insert(p) {
                 self.next_list.push(p);
@@ -141,7 +142,7 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
             }
         };
         let moves = Moves { graph: self.graph, faults };
-        draws.run(Items::Walkers(&self.positions), self.round, &moves, &mut merge);
+        draws.run(Items::Walkers(&self.positions), self.round, &moves, merge);
         std::mem::swap(&mut self.positions, &mut self.landed);
         std::mem::swap(&mut self.active, &mut self.next_active);
         std::mem::swap(&mut self.active_list, &mut self.next_list);

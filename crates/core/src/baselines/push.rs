@@ -96,6 +96,7 @@ impl Kernel for Push<'_> {
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
         // A crashed vertex knows the rumour but never sends it.
         if self.faults.is_crashed(u) {
@@ -130,9 +131,9 @@ impl SpreadingProcess for PushProcess<'_> {
     fn step_with(&mut self, draws: Draws<'_>, faults: &StepFaults<'_>) {
         self.newly.clear();
         let push = Push { graph: self.graph, faults };
-        let mut merge = Claim { next: &mut self.informed, fresh: |v| self.newly.push(v) };
+        let merge = Claim { next: &mut self.informed, fresh: |v| self.newly.push(v) };
         self.messages_sent +=
-            draws.run(Items::Vertices(&self.informed_list), self.round, &push, &mut merge);
+            draws.run(Items::Vertices(&self.informed_list), self.round, &push, merge);
         if !self.newly.is_empty() {
             self.informed_list.clear();
             self.informed.collect_into(&mut self.informed_list);
@@ -271,6 +272,7 @@ impl Kernel for Contact<'_> {
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
         let neighbors = self.graph.neighbors(u);
         if neighbors.is_empty() {
@@ -312,8 +314,8 @@ impl SpreadingProcess for PushPullProcess<'_> {
         self.contacts.clear();
         let contact = Contact { graph: self.graph, informed: &self.informed, faults };
         let n = self.graph.num_vertices();
-        let mut merge = |v| self.contacts.push(v);
-        self.messages_sent += draws.run(Items::All(n), self.round, &contact, &mut merge);
+        let merge = |v| self.contacts.push(v);
+        self.messages_sent += draws.run(Items::All(n), self.round, &contact, merge);
         self.newly.clear();
         for &v in &self.contacts {
             if self.informed.insert(v) {

@@ -176,6 +176,7 @@ impl Kernel for Probes<'_> {
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
         if u == self.source {
             sink.propose(u);
@@ -234,8 +235,8 @@ impl SpreadingProcess for BipsProcess<'_> {
                 self.ever_infected.insert(u);
             }
         };
-        let mut merge = Claim { next: &mut self.next_infected, fresh };
-        draws.run(Items::All(self.graph.num_vertices()), self.round, &probes, &mut merge);
+        let merge = Claim { next: &mut self.next_infected, fresh };
+        draws.run(Items::All(self.graph.num_vertices()), self.round, &probes, merge);
         std::mem::swap(&mut self.infected, &mut self.next_infected);
         std::mem::swap(&mut self.infected_list, &mut self.next_list);
         self.round += 1;

@@ -334,6 +334,7 @@ impl Kernel for Pushes<'_> {
     // cobra-lint: hot
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     fn run<R: RngCore + ?Sized, S: Sink>(&self, u: VertexId, rng: &mut R, sink: &mut S) {
         // A crashed vertex holds the token but never relays it.
         if self.faults.is_crashed(u) {
@@ -390,8 +391,8 @@ impl SpreadingProcess for CobraProcess<'_> {
                 self.num_visited += 1;
             }
         };
-        let mut merge = Claim { next: &mut self.next_active, fresh };
-        draws.run(Items::Vertices(&self.frontier), self.round, &pushes, &mut merge);
+        let merge = Claim { next: &mut self.next_active, fresh };
+        draws.run(Items::Vertices(&self.frontier), self.round, &pushes, merge);
         // Erase C_t through its own member list, then swap buffers: the erased bitset
         // becomes the all-clear scratch for the next round.
         self.active.clear_list(&self.frontier);

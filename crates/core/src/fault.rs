@@ -1444,37 +1444,7 @@ impl SpreadingProcess for FaultedProcess<'_> {
         self.inner.round()
     }
 
-    fn active(&self) -> &VertexBitset {
-        self.inner.active()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn newly_activated(&self) -> &[VertexId] {
-        self.inner.newly_activated()
-    }
-
-    fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_active(f);
-    }
-
-    fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_token(f);
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    fn coverage(&self) -> Option<&VertexBitset> {
-        self.inner.coverage()
-    }
+    crate::process::forward_state_queries!();
 
     fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
         self.inner.adopt_state(active, coverage)
@@ -1517,37 +1487,7 @@ impl SpreadingProcess for OffsetRounds<'_> {
         self.offset + self.inner.round()
     }
 
-    fn active(&self) -> &VertexBitset {
-        self.inner.active()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn newly_activated(&self) -> &[VertexId] {
-        self.inner.newly_activated()
-    }
-
-    fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_active(f);
-    }
-
-    fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_token(f);
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    fn coverage(&self) -> Option<&VertexBitset> {
-        self.inner.coverage()
-    }
+    crate::process::forward_state_queries!();
 
     fn reset(&mut self) {
         unreachable!("the churn observer view is read-only")

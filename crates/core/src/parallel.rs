@@ -132,6 +132,7 @@ pub(crate) struct Claim<'a, F> {
 }
 
 impl<F: FnMut(VertexId)> Sink for Claim<'_, F> {
+    #[inline(always)]
     fn propose(&mut self, v: VertexId) {
         if self.next.insert(v) {
             (self.fresh)(v);
@@ -156,12 +157,13 @@ pub(crate) enum Items<'a> {
 }
 
 /// The shared path's sink: proposals go straight to the process's merge.
-struct Direct<'m, M> {
-    merge: &'m mut M,
+struct Direct<M> {
+    merge: M,
     messages: u64,
 }
 
-impl<M: Sink> Sink for Direct<'_, M> {
+impl<M: Sink> Sink for Direct<M> {
+    #[inline(always)]
     fn propose(&mut self, v: VertexId) {
         self.merge.propose(v);
     }
@@ -229,23 +231,32 @@ impl Draws<'_> {
     /// draws run the items in order on the one stream, applying each proposal at once;
     /// streams shard the items across the engine's threads and merge the buffered
     /// proposals in shard order, so the result is the same at every thread count.
+    // Inlined into each process's step: the `items` match folds away and the kernel and
+    // the merge inline into one loop, as in a hand-written step.
     // cobra-lint: par
     // cobra-lint: draws(bounded)
+    #[inline(always)]
     pub(crate) fn run<K: Kernel, M: Sink>(
         self,
         items: Items<'_>,
         round: usize,
         kernel: &K,
-        merge: &mut M,
+        mut merge: M,
     ) -> u64 {
         let engine = match self {
             Draws::Shared(rng) => {
                 let mut sink = Direct { merge, messages: 0 };
                 match items {
                     Items::Vertices(items) | Items::Walkers(items) => {
-                        items.iter().for_each(|&item| kernel.run(item, rng, &mut sink));
+                        for &item in items {
+                            kernel.run(item, rng, &mut sink);
+                        }
                     }
-                    Items::All(n) => (0..n).for_each(|item| kernel.run(item, rng, &mut sink)),
+                    Items::All(n) => {
+                        for item in 0..n {
+                            kernel.run(item, rng, &mut sink);
+                        }
+                    }
                 }
                 return sink.messages;
             }
@@ -411,37 +422,7 @@ impl SpreadingProcess for ParallelProcess<'_> {
         self.inner.round()
     }
 
-    fn active(&self) -> &VertexBitset {
-        self.inner.active()
-    }
-
-    fn num_active(&self) -> usize {
-        self.inner.num_active()
-    }
-
-    fn newly_activated(&self) -> &[VertexId] {
-        self.inner.newly_activated()
-    }
-
-    fn for_each_active(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_active(f);
-    }
-
-    fn for_each_token(&self, f: &mut dyn FnMut(VertexId)) {
-        self.inner.for_each_token(f);
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    fn coverage(&self) -> Option<&VertexBitset> {
-        self.inner.coverage()
-    }
+    crate::process::forward_state_queries!();
 
     fn adopt_state(&mut self, active: &[VertexId], coverage: Option<&VertexBitset>) -> Result<()> {
         self.inner.adopt_state(active, coverage)

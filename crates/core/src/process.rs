@@ -186,6 +186,46 @@ pub trait SpreadingProcess {
 // `Box<dyn SpreadingProcess>` and the runner drives `&mut dyn SpreadingProcess`.
 const _: fn(&mut dyn SpreadingProcess) = |_| {};
 
+/// Implements the read-only state queries of [`SpreadingProcess`] by forwarding them to
+/// `self.inner`. Wrappers change how a round is stepped and intercept the levers they own,
+/// never what the wrapped process exposes, so each wrapper `impl` invokes this once.
+macro_rules! forward_state_queries {
+    () => {
+        fn active(&self) -> &cobra_graph::VertexBitset {
+            self.inner.active()
+        }
+
+        fn num_active(&self) -> usize {
+            self.inner.num_active()
+        }
+
+        fn newly_activated(&self) -> &[cobra_graph::VertexId] {
+            self.inner.newly_activated()
+        }
+
+        fn for_each_active(&self, f: &mut dyn FnMut(cobra_graph::VertexId)) {
+            self.inner.for_each_active(f);
+        }
+
+        fn for_each_token(&self, f: &mut dyn FnMut(cobra_graph::VertexId)) {
+            self.inner.for_each_token(f);
+        }
+
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+
+        fn is_complete(&self) -> bool {
+            self.inner.is_complete()
+        }
+
+        fn coverage(&self) -> Option<&cobra_graph::VertexBitset> {
+            self.inner.coverage()
+        }
+    };
+}
+pub(crate) use forward_state_queries;
+
 /// Shared validation for [`SpreadingProcess::adopt_state`] implementations: every adopted
 /// vertex must exist and an adopted coverage set must be sized for this graph.
 pub(crate) fn validate_adopted_state(
