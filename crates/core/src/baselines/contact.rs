@@ -198,7 +198,7 @@ impl SpreadingProcess for ContactProcess<'_> {
             }
         };
         let merge = Claim { next: &mut self.next_infected, fresh };
-        draws.run(Items::Vertices(&self.frontier), self.round, &transmissions, merge);
+        draws.run(Items::Vertices(&self.frontier), self.round, transmissions, merge);
         if self.persistent_source
             && self.next_infected.insert(self.source)
             && !self.infected.contains(self.source)

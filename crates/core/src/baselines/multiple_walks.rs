@@ -142,7 +142,7 @@ impl SpreadingProcess for MultipleRandomWalks<'_> {
             }
         };
         let moves = Moves { graph: self.graph, faults };
-        draws.run(Items::Walkers(&self.positions), self.round, &moves, merge);
+        draws.run(Items::Walkers(&self.positions), self.round, moves, merge);
         std::mem::swap(&mut self.positions, &mut self.landed);
         std::mem::swap(&mut self.active, &mut self.next_active);
         std::mem::swap(&mut self.active_list, &mut self.next_list);

@@ -133,7 +133,7 @@ impl SpreadingProcess for PushProcess<'_> {
         let push = Push { graph: self.graph, faults };
         let merge = Claim { next: &mut self.informed, fresh: |v| self.newly.push(v) };
         self.messages_sent +=
-            draws.run(Items::Vertices(&self.informed_list), self.round, &push, merge);
+            draws.run(Items::Vertices(&self.informed_list), self.round, push, merge);
         if !self.newly.is_empty() {
             self.informed_list.clear();
             self.informed.collect_into(&mut self.informed_list);
@@ -315,7 +315,7 @@ impl SpreadingProcess for PushPullProcess<'_> {
         let contact = Contact { graph: self.graph, informed: &self.informed, faults };
         let n = self.graph.num_vertices();
         let merge = |v| self.contacts.push(v);
-        self.messages_sent += draws.run(Items::All(n), self.round, &contact, merge);
+        self.messages_sent += draws.run(Items::All(n), self.round, contact, merge);
         self.newly.clear();
         for &v in &self.contacts {
             if self.informed.insert(v) {

@@ -236,7 +236,7 @@ impl SpreadingProcess for BipsProcess<'_> {
             }
         };
         let merge = Claim { next: &mut self.next_infected, fresh };
-        draws.run(Items::All(self.graph.num_vertices()), self.round, &probes, merge);
+        draws.run(Items::All(self.graph.num_vertices()), self.round, probes, merge);
         std::mem::swap(&mut self.infected, &mut self.next_infected);
         std::mem::swap(&mut self.infected_list, &mut self.next_list);
         self.round += 1;

@@ -392,7 +392,7 @@ impl SpreadingProcess for CobraProcess<'_> {
             }
         };
         let merge = Claim { next: &mut self.next_active, fresh };
-        draws.run(Items::Vertices(&self.frontier), self.round, &pushes, merge);
+        draws.run(Items::Vertices(&self.frontier), self.round, pushes, merge);
         // Erase C_t through its own member list, then swap buffers: the erased bitset
         // becomes the all-clear scratch for the next round.
         self.active.clear_list(&self.frontier);

@@ -705,7 +705,7 @@ impl<'a> StepFaults<'a> {
     /// for the targeted drop when `from` is in the targeted set — so with no faults the
     /// RNG is untouched.
     // cobra-lint: draws(bounded)
-    #[inline]
+    #[inline(always)]
     pub fn drops_from<R: RngCore + ?Sized>(&self, rng: &mut R, from: VertexId) -> bool {
         if self.drop > 0.0 && rng.gen_bool(self.drop) {
             return true;

@@ -156,6 +156,25 @@ pub(crate) enum Items<'a> {
     Walkers(&'a [VertexId]),
 }
 
+impl Items<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Items::Vertices(items) | Items::Walkers(items) => items.len(),
+            Items::All(n) => n,
+        }
+    }
+
+    /// Item `i`, and the stream entity it draws from.
+    #[inline(always)]
+    fn get(&self, i: usize) -> (u64, VertexId) {
+        match *self {
+            Items::Vertices(items) => (items[i] as u64, items[i]),
+            Items::All(_) => (i as u64, i),
+            Items::Walkers(items) => (i as u64, items[i]),
+        }
+    }
+}
+
 /// The shared path's sink: proposals go straight to the process's merge.
 struct Direct<M> {
     merge: M,
@@ -193,22 +212,6 @@ impl Sink for Shard {
     }
 }
 
-/// Runs `kernel` over one shard's `(entity, item)` pairs, each on its own stream.
-// cobra-lint: par
-// cobra-lint: draws(bounded)
-fn run_shard<K: Kernel>(
-    engine: &ParallelFrontier,
-    round: u64,
-    kernel: &K,
-    items: impl ExactSizeIterator<Item = (u64, VertexId)>,
-) -> Shard {
-    let mut shard = Shard { proposals: Vec::with_capacity(items.len()), messages: 0 };
-    for (entity, item) in items {
-        kernel.run(item, &mut engine.stream(entity, round), &mut shard);
-    }
-    shard
-}
-
 impl Draws<'_> {
     /// Runs `f` on the RNG for `entity`'s draws at `round`: the shared stream itself, or
     /// the entity's own stream. Wrappers draw their dynamics through this with their
@@ -240,9 +243,10 @@ impl Draws<'_> {
         self,
         items: Items<'_>,
         round: usize,
-        kernel: &K,
+        kernel: K,
         mut merge: M,
     ) -> u64 {
+        let len = items.len();
         let engine = match self {
             Draws::Shared(rng) => {
                 let mut sink = Direct { merge, messages: 0 };
@@ -263,18 +267,16 @@ impl Draws<'_> {
             Draws::Streams(engine) => engine,
         };
         let round = round as u64;
-        let shards = match items {
-            Items::Vertices(items) => engine.fan_out(items, |_, chunk| {
-                run_shard(engine, round, kernel, chunk.iter().map(|&v| (v as u64, v)))
-            }),
-            Items::Walkers(items) => engine.fan_out(items, |base, chunk| {
-                let entities = chunk.iter().enumerate().map(|(i, &v)| ((base + i) as u64, v));
-                run_shard(engine, round, kernel, entities)
-            }),
-            Items::All(n) => engine.fan_out_ranges(n, |range| {
-                run_shard(engine, round, kernel, range.map(|v| (v as u64, v)))
-            }),
-        };
+        // `move` keeps the kernel the shards share apart from the one the shared path
+        // reads, which can then live in registers.
+        let shards = engine.fan_out_ranges(len, move |range| {
+            let mut shard = Shard { proposals: Vec::with_capacity(range.len()), messages: 0 };
+            for i in range {
+                let (entity, item) = items.get(i);
+                kernel.run(item, &mut engine.stream(entity, round), &mut shard);
+            }
+            shard
+        });
         let mut messages = 0;
         for shard in shards {
             messages += shard.messages;
@@ -338,8 +340,7 @@ impl ParallelFrontier {
 
     /// Shards `items` across the engine's threads, collecting each shard's result in shard
     /// order: `op(shard_base, shard_items)` runs on scoped threads via the vendored rayon.
-    /// Shards are contiguous, so concatenating the results preserves item order — the
-    /// property the stream merge relies on for thread-count invariance.
+    /// Shards are contiguous, so concatenating the results preserves item order.
     pub fn fan_out<T, R, F>(&self, items: &[T], op: F) -> Vec<R>
     where
         T: Sync,
@@ -349,8 +350,9 @@ impl ParallelFrontier {
         rayon::par_chunks(items, self.threads, op)
     }
 
-    /// Range analogue of [`fan_out`](Self::fan_out) for the Θ(n)-scan processes (BIPS,
-    /// PUSH–PULL): shards `0..len` into contiguous sub-ranges.
+    /// Range analogue of [`fan_out`](Self::fan_out): shards `0..len` into contiguous
+    /// sub-ranges. The step driver shards item indices this way, and merging in range
+    /// order is what makes stream mode thread-count invariant.
     pub fn fan_out_ranges<R, F>(&self, len: usize, op: F) -> Vec<R>
     where
         R: Send,
