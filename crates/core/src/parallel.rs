@@ -246,7 +246,6 @@ impl Draws<'_> {
         kernel: K,
         mut merge: M,
     ) -> u64 {
-        let len = items.len();
         let engine = match self {
             Draws::Shared(rng) => {
                 let mut sink = Direct { merge, messages: 0 };
@@ -269,7 +268,7 @@ impl Draws<'_> {
         let round = round as u64;
         // `move` keeps the kernel the shards share apart from the one the shared path
         // reads, which can then live in registers.
-        let shards = engine.fan_out_ranges(len, move |range| {
+        let shards = engine.fan_out_ranges(items.len(), move |range| {
             let mut shard = Shard { proposals: Vec::with_capacity(range.len()), messages: 0 };
             for i in range {
                 let (entity, item) = items.get(i);
