@@ -232,7 +232,7 @@ impl<'g> CobraProcess<'g> {
             }
         }
         // Degree-proportional budgets are resolved once, here, from the degree sequence —
-        // the per-round step paths then read a table entry exactly like a Fixed `k` (zero
+        // the per-round step then reads a table entry exactly like a Fixed `k` (zero
         // RNG words either way).
         let budgets = match branching {
             Branching::PerVertex { cap } => Some(
