@@ -111,7 +111,8 @@ impl Kernel for Push<'_> {
         if self.faults.drops_from(rng, u) {
             return;
         }
-        let target = *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+        let target = *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty")
+            as VertexId;
         // A severed cut blocks the (sent and counted) message after the target draw; a
         // per-edge channel may then lose it on the chosen link.
         if !self.faults.severs(u, target) && !self.faults.drops_on_edge(rng, u, target) {
@@ -279,7 +280,8 @@ impl Kernel for Contact<'_> {
             return;
         }
         sink.message();
-        let partner = *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty");
+        let partner = *sample::sample_slice(neighbors, rng).expect("neighbour slice is non-empty")
+            as VertexId;
         let (faults, informed) = (self.faults, self.informed);
         // Crash disables transmission only: a crashed vertex neither pushes the rumour nor
         // answers a pull, but it can still receive and still request. A severed cut blocks

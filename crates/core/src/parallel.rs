@@ -52,11 +52,24 @@
 //! hands it to the crate-internal driver here, which runs it over a frontier, a walker
 //! vector or the full vertex range in either mode. Wrappers draw their own dynamics through
 //! [`Draws::with_entity_rng`]: the shared stream itself, or their reserved entity's stream.
+//!
+//! # Deriving streams eight at a time
+//!
+//! In a saturated round almost every vertex is active and draws only a few words, so the
+//! cost of a round is mostly the first ChaCha8 block of each vertex stream. Each stream
+//! shard therefore walks its index range in groups of [`LANES`] (8) consecutive items and
+//! derives their streams together with [`VertexStreams::stream_lanes`]: on x86-64 CPUs
+//! with AVX2 one 8-lane kernel computes the eight first blocks side by side (see the
+//! vendored `rand_chacha`). The last `len % 8` items of a shard derive theirs one by one
+//! with [`ParallelFrontier::stream`]. Lane `l` of a group is word for word the stream
+//! `stream(entity, round)` would build, and the items still run and merge in index order,
+//! so grouping changes no trajectory: the shard boundaries and tails a thread count
+//! induces stay invisible, as the thread-invariance contract requires.
 
 use cobra_graph::sample::VertexStreams;
 use cobra_graph::{Graph, VertexBitset, VertexId};
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::{ChaCha8Rng, LANES};
 
 use crate::fault::StepFaults;
 use crate::process::SpreadingProcess;
@@ -270,7 +283,17 @@ impl Draws<'_> {
         // reads, which can then live in registers.
         let shards = engine.fan_out_ranges(items.len(), move |range| {
             let mut shard = Shard { proposals: Vec::with_capacity(range.len()), messages: 0 };
-            for i in range {
+            // Whole groups of `LANES` items derive their streams together, the tail one at a
+            // time; items still run in index order.
+            let tail = range.end - range.len() % LANES;
+            for start in (range.start..tail).step_by(LANES) {
+                let entities = std::array::from_fn(|lane| items.get(start + lane).0);
+                let mut lanes = engine.streams.stream_lanes(&entities, round);
+                for (lane, rng) in lanes.iter_mut().enumerate() {
+                    kernel.run(items.get(start + lane).1, rng, &mut shard);
+                }
+            }
+            for i in tail..range.end {
                 let (entity, item) = items.get(i);
                 kernel.run(item, &mut engine.stream(entity, round), &mut shard);
             }

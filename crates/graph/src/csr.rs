@@ -5,6 +5,17 @@
 //! the CSR layout ideal — neighbour lists are contiguous slices, so the hot operation of the
 //! COBRA/BIPS processes ("pick a uniformly random neighbour of `v`") is a single bounds-checked
 //! index into a slice.
+//!
+//! # Layout
+//!
+//! Both arrays hold `u32`: `n + 1` offsets and `2m` neighbour entries (one per arc, that is,
+//! per direction of an edge). Four-byte entries halve the heap of the eight-byte `usize`
+//! layout — a random 8-regular graph on 10⁶ vertices takes 36 MB instead of 72 MB — and
+//! put twice as many neighbour rows in each cache line. The price is a size limit: at most
+//! `u32::MAX` vertices and `u32::MAX` arcs. Every constructor checks it and returns
+//! [`GraphError::TooLarge`] beyond it, never a truncated graph. Vertex ids stay
+//! [`VertexId`] (`usize`) everywhere else; only [`Graph::neighbors`] exposes the stored `u32`
+//! entries.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -13,6 +24,21 @@ use crate::{GraphError, Result};
 
 /// Identifier of a vertex: graphs are always vertex sets `{0, 1, …, n-1}`.
 pub type VertexId = usize;
+
+/// The largest vertex count, and the largest arc count, the `u32` CSR can index.
+const CSR_LIMIT: usize = u32::MAX as usize;
+
+/// Checks that `vertices` vertices and `arcs` arcs fit the `u32` CSR.
+///
+/// # Errors
+///
+/// Returns [`GraphError::TooLarge`] if either exceeds `u32::MAX`.
+pub(crate) fn check_csr_size(vertices: usize, arcs: usize) -> Result<()> {
+    if vertices > CSR_LIMIT || arcs > CSR_LIMIT {
+        return Err(GraphError::TooLarge { vertices, arcs });
+    }
+    Ok(())
+}
 
 /// An immutable undirected simple graph in CSR form.
 ///
@@ -37,9 +63,9 @@ pub type VertexId = usize;
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`. Length `n + 1`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Concatenated, per-vertex sorted adjacency lists. Length `2 * m`.
-    neighbors: Vec<VertexId>,
+    neighbors: Vec<u32>,
 }
 
 impl Graph {
@@ -50,11 +76,14 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`,
+    /// Returns [`GraphError::TooLarge`] if `n` or the arc count `2 * edges.len()` exceeds
+    /// `u32::MAX`, [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`,
     /// [`GraphError::SelfLoop`] for an edge `{v, v}`, and [`GraphError::DuplicateEdge`] if the
     /// same undirected edge appears twice.
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self> {
-        let mut degree = vec![0usize; n];
+        check_csr_size(n, edges.len().saturating_mul(2))?;
+        // Degrees and offsets are bounded by the arc count, which was just checked.
+        let mut degree = vec![0u32; n];
         for &(u, v) in edges {
             if u >= n {
                 return Err(GraphError::VertexOutOfRange { vertex: u, num_vertices: n });
@@ -70,27 +99,28 @@ impl Graph {
         }
 
         let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
+        offsets.push(0u32);
         for &deg in &degree {
             let prev = *offsets.last().expect("offsets is never empty");
             offsets.push(prev + deg);
         }
 
-        let mut neighbors = vec![0 as VertexId; 2 * edges.len()];
+        let mut neighbors = vec![0u32; 2 * edges.len()];
         let mut cursor = offsets[..n].to_vec();
         for &(u, v) in edges {
-            neighbors[cursor[u]] = v;
+            neighbors[cursor[u] as usize] = v as u32;
             cursor[u] += 1;
-            neighbors[cursor[v]] = u;
+            neighbors[cursor[v] as usize] = u as u32;
             cursor[v] += 1;
         }
 
         // Sort each adjacency list and detect duplicates.
         for v in 0..n {
-            let slice = &mut neighbors[offsets[v]..offsets[v + 1]];
+            let slice = &mut neighbors[offsets[v] as usize..offsets[v + 1] as usize];
             slice.sort_unstable();
             if let Some(w) = slice.windows(2).find(|w| w[0] == w[1]) {
-                return Err(GraphError::DuplicateEdge { u: v.min(w[0]), v: v.max(w[0]) });
+                let w = w[0] as usize;
+                return Err(GraphError::DuplicateEdge { u: v.min(w), v: v.max(w) });
             }
         }
 
@@ -142,13 +172,17 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidParameters`] for malformed offsets or asymmetry, and the
+    /// Returns [`GraphError::TooLarge`] if the vertex count `offsets.len() - 1` or the arc
+    /// count the offsets announce exceeds `u32::MAX`,
+    /// [`GraphError::InvalidParameters`] for malformed offsets or asymmetry, and the
     /// same per-edge errors as [`Graph::from_edges`] for bad rows.
     pub fn from_raw_parts(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Result<Self> {
         let structural = |reason: String| GraphError::InvalidParameters { reason };
         if offsets.first() != Some(&0) {
             return Err(structural("CSR offsets must start with 0".to_string()));
         }
+        let n = offsets.len() - 1;
+        check_csr_size(n, *offsets.last().expect("checked non-empty above"))?;
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(structural("CSR offsets must be non-decreasing".to_string()));
         }
@@ -159,26 +193,30 @@ impl Graph {
                 neighbors.len()
             )));
         }
-        let n = offsets.len() - 1;
+        // Offsets never exceed the last one, checked above, and neighbour ids are below `n`,
+        // checked next: both narrow to `u32` losslessly.
+        let offsets = offsets.into_iter().map(|offset| offset as u32).collect();
+        if let Some(&vertex) = neighbors.iter().find(|&&v| v >= n) {
+            return Err(GraphError::VertexOutOfRange { vertex, num_vertices: n });
+        }
+        let neighbors = neighbors.into_iter().map(|v| v as u32).collect();
         let graph = Graph { offsets, neighbors };
         for u in 0..n {
             let row = graph.neighbors(u);
             for (i, &v) in row.iter().enumerate() {
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: n });
-                }
+                let v = v as usize;
                 if v == u {
                     return Err(GraphError::SelfLoop { vertex: u });
                 }
-                if i > 0 && row[i - 1] == v {
+                if i > 0 && row[i - 1] as usize == v {
                     return Err(GraphError::DuplicateEdge { u: u.min(v), v: u.max(v) });
                 }
-                if i > 0 && row[i - 1] > v {
+                if i > 0 && row[i - 1] as usize > v {
                     return Err(structural(format!(
                         "CSR adjacency row of vertex {u} is not sorted"
                     )));
                 }
-                if graph.neighbors(v).binary_search(&u).is_err() {
+                if graph.neighbors(v).binary_search(&(u as u32)).is_err() {
                     return Err(structural(format!(
                         "CSR rows are not symmetric: arc ({u}, {v}) has no mirror"
                     )));
@@ -189,7 +227,7 @@ impl Graph {
     }
 
     /// The raw CSR arrays `(offsets, neighbors)` — the encode path of the binary cache.
-    pub(crate) fn raw_parts(&self) -> (&[usize], &[VertexId]) {
+    pub(crate) fn raw_parts(&self) -> (&[u32], &[u32]) {
         (&self.offsets, &self.neighbors)
     }
 
@@ -212,12 +250,12 @@ impl Graph {
     }
 
     /// Heap footprint of the CSR arrays in bytes: `(n + 1)` offsets plus `2m` neighbour
-    /// entries. This is the accounting unit of size-bounded instance caches (the serving
-    /// layer's `--cache-mb` budget); it deliberately ignores constant per-`Vec` overhead.
+    /// entries, 4 bytes each (`4 · (n + 1 + 2m)`). This is the accounting unit of
+    /// size-bounded instance caches (the serving layer's `--cache-mb` budget); it
+    /// deliberately ignores constant per-`Vec` overhead.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.neighbors.len() * std::mem::size_of::<VertexId>()
+        (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
     }
 
     /// Degree of vertex `v`.
@@ -227,17 +265,19 @@ impl Graph {
     /// Panics if `v >= self.num_vertices()`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
-    /// The (sorted) neighbours of `v` as a slice.
+    /// The (sorted) neighbours of `v` as a slice of the stored `u32` ids.
+    ///
+    /// Use [`neighbor_iter`](Self::neighbor_iter) for the neighbours as [`VertexId`]s.
     ///
     /// # Panics
     ///
     /// Panics if `v >= self.num_vertices()`.
     #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    pub fn neighbors(&self, v: VertexId) -> &[u32] {
+        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// The `i`-th neighbour of `v` (neighbours are sorted ascending).
@@ -250,8 +290,7 @@ impl Graph {
     /// Panics if `v >= self.num_vertices()` or `i >= self.degree(v)`.
     #[inline]
     pub fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        let slice = self.neighbors(v);
-        slice[i]
+        self.neighbors(v)[i] as VertexId
     }
 
     /// Draws a uniformly random neighbour of `v`, or `None` if `v` is isolated.
@@ -271,7 +310,7 @@ impl Graph {
         v: VertexId,
         rng: &mut R,
     ) -> Option<VertexId> {
-        crate::sample::sample_slice(self.neighbors(v), rng).copied()
+        crate::sample::sample_slice(self.neighbors(v), rng).map(|&w| w as VertexId)
     }
 
     /// Returns `true` if `{u, v}` is an edge. Runs in `O(log deg(u))`.
@@ -280,7 +319,7 @@ impl Graph {
             return false;
         }
         let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbors(a).binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&(b as u32)).is_ok()
     }
 
     /// Iterator over all vertices `0..n`.
@@ -290,9 +329,8 @@ impl Graph {
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`, in ascending order of `u`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.vertices().flat_map(move |u| {
-            self.neighbors(u).iter().copied().filter(move |&v| u < v).map(move |v| (u, v))
-        })
+        self.vertices()
+            .flat_map(move |u| self.neighbor_iter(u).filter(move |&v| u < v).map(move |v| (u, v)))
     }
 
     /// Iterator over the neighbours of `v`.
@@ -362,14 +400,15 @@ impl Default for Graph {
 /// Iterator over the neighbours of a vertex, produced by [`Graph::neighbor_iter`].
 #[derive(Debug, Clone)]
 pub struct NeighborIter<'a> {
-    inner: std::slice::Iter<'a, VertexId>,
+    inner: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> Iterator for NeighborIter<'a> {
     type Item = VertexId;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().copied()
+        self.inner.next().map(|&w| w as VertexId)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -415,7 +454,7 @@ mod tests {
         let g = triangle();
         for v in g.vertices() {
             for i in 0..g.degree(v) {
-                assert_eq!(g.neighbor(v, i), g.neighbors(v)[i]);
+                assert_eq!(g.neighbor(v, i), g.neighbors(v)[i] as VertexId);
             }
         }
     }
@@ -467,7 +506,7 @@ mod tests {
     #[test]
     fn from_adjacency_round_trips() {
         let g = triangle();
-        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbors(v).to_vec()).collect();
+        let adj: Vec<Vec<usize>> = g.vertices().map(|v| g.neighbor_iter(v).collect()).collect();
         let g2 = Graph::from_adjacency(&adj).unwrap();
         assert_eq!(g, g2);
     }
@@ -493,10 +532,26 @@ mod tests {
     #[test]
     fn heap_bytes_counts_offsets_and_neighbor_entries() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let word = std::mem::size_of::<usize>();
+        let word = std::mem::size_of::<u32>();
         // 4 offsets + 2·2 directed neighbour entries.
-        assert_eq!(g.heap_bytes(), 4 * word + 4 * std::mem::size_of::<VertexId>());
+        assert_eq!(g.heap_bytes(), 4 * word + 4 * word);
         assert_eq!(Graph::default().heap_bytes(), word);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn sizes_beyond_the_u32_csr_are_rejected_not_truncated() {
+        // Past u32::MAX vertices: rejected before anything is allocated.
+        let too_many = u32::MAX as usize + 1;
+        let err = Graph::from_edges(too_many, &[]).unwrap_err();
+        assert_eq!(err, GraphError::TooLarge { vertices: too_many, arcs: 0 });
+        // Offsets announcing 2^32 arcs: rejected as too large, not read modulo 2^32 (which
+        // would be 0 arcs and match the empty neighbour array).
+        let err = Graph::from_raw_parts(vec![0, 1 << 32], Vec::new()).unwrap_err();
+        assert_eq!(err, GraphError::TooLarge { vertices: 1, arcs: 1 << 32 });
+        // The limit itself is inclusive.
+        assert!(check_csr_size(u32::MAX as usize, u32::MAX as usize).is_ok());
+        assert!(check_csr_size(0, too_many).is_err());
     }
 
     #[test]
@@ -528,7 +583,8 @@ mod tests {
     fn from_raw_parts_round_trips() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).unwrap();
         let (offsets, neighbors) = g.raw_parts();
-        let g2 = Graph::from_raw_parts(offsets.to_vec(), neighbors.to_vec()).unwrap();
+        let widen = |words: &[u32]| words.iter().map(|&w| w as usize).collect();
+        let g2 = Graph::from_raw_parts(widen(offsets), widen(neighbors)).unwrap();
         assert_eq!(g, g2);
         let empty = Graph::from_raw_parts(vec![0], Vec::new()).unwrap();
         assert_eq!(empty, Graph::default());

@@ -45,6 +45,14 @@ pub enum GraphError {
         /// Description of the problem.
         reason: String,
     },
+    /// The graph has more vertices or more arcs (directed adjacency entries, `2m`) than the
+    /// `u32` CSR can index: at most `u32::MAX` of each.
+    TooLarge {
+        /// The number of vertices asked for.
+        vertices: usize,
+        /// The number of arcs asked for (or an upper bound, before a generator runs).
+        arcs: usize,
+    },
     /// A file-backed graph could not be read from disk.
     Io {
         /// Path of the offending file.
@@ -76,6 +84,11 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, reason } => {
                 write!(f, "parse error on line {line}: {reason}")
             }
+            GraphError::TooLarge { vertices, arcs } => write!(
+                f,
+                "graph with {vertices} vertices and {arcs} arcs exceeds the CSR limit of {} of each",
+                u32::MAX
+            ),
             GraphError::Io { path, reason } => {
                 write!(f, "cannot read graph file {path:?}: {reason}")
             }
@@ -107,6 +120,10 @@ mod tests {
                 "graph generation failed",
             ),
             (GraphError::Parse { line: 4, reason: "bad token".into() }, "parse error on line 4"),
+            (
+                GraphError::TooLarge { vertices: 1 << 33, arcs: 0 },
+                "exceeds the CSR limit of 4294967295",
+            ),
             (
                 GraphError::Io { path: "net.edges".into(), reason: "not found".into() },
                 "cannot read graph file",

@@ -156,8 +156,11 @@ impl GraphFamily {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying generator error for invalid parameters.
+    /// Returns [`GraphError::TooLarge`] before generating
+    /// anything when the family's vertex count, or the arc count its parameters fix, exceeds
+    /// the `u32` CSR; propagates the underlying generator error for invalid parameters.
     pub fn instantiate<R: rand::Rng>(&self, rng: &mut R) -> Result<crate::Graph> {
+        crate::csr::check_csr_size(self.num_vertices(), self.max_arcs())?;
         match self {
             GraphFamily::Complete { n } => complete(*n),
             GraphFamily::Cycle { n } => cycle(*n),
@@ -213,19 +216,20 @@ impl GraphFamily {
     ///
     /// For [`GraphFamily::File`] the count is unknown until the file is read, so this
     /// returns `0`; call [`instantiate`](Self::instantiate) and ask the graph instead.
+    /// Counts beyond `usize` saturate at `usize::MAX`.
     pub fn num_vertices(&self) -> usize {
         match self {
             GraphFamily::Complete { n } | GraphFamily::Cycle { n } => *n,
-            GraphFamily::Hypercube { dim } => 1usize << dim,
+            GraphFamily::Hypercube { dim } => 1usize.checked_shl(*dim).unwrap_or(usize::MAX),
             GraphFamily::RandomRegular { n, .. } => *n,
-            GraphFamily::Torus { sides } => sides.iter().product(),
+            GraphFamily::Torus { sides } => sides.iter().fold(1, |n, &s| n.saturating_mul(s)),
             GraphFamily::CyclePower { n, .. } => *n,
-            GraphFamily::RingOfCliques { cliques, size } => cliques * size,
+            GraphFamily::RingOfCliques { cliques, size } => cliques.saturating_mul(*size),
             GraphFamily::ErdosRenyi { n, .. } => *n,
-            GraphFamily::Barbell { k } => 2 * k,
-            GraphFamily::Lollipop { k, path } => k + path,
+            GraphFamily::Barbell { k } => k.saturating_mul(2),
+            GraphFamily::Lollipop { k, path } => k.saturating_add(*path),
             GraphFamily::Star { n } => *n,
-            GraphFamily::CompleteBipartite { a, b } => a + b,
+            GraphFamily::CompleteBipartite { a, b } => a.saturating_add(*b),
             GraphFamily::BalancedTree { branching, height } => {
                 let mut total = 1usize;
                 let mut level = 1usize;
@@ -237,6 +241,30 @@ impl GraphFamily {
             }
             GraphFamily::ChungLu { n, .. } => *n,
             GraphFamily::File { .. } => 0,
+        }
+    }
+
+    /// An upper bound on the arc count (`2m`) of the instance, from the parameters alone;
+    /// `0` for the families whose edge count is drawn or read (Erdős–Rényi, Chung–Lu,
+    /// `file:`), which [`Graph::from_edges`](crate::Graph::from_edges) checks once built.
+    fn max_arcs(&self) -> usize {
+        let n = self.num_vertices();
+        match self {
+            GraphFamily::Complete { n } => n.saturating_mul(n.saturating_sub(1)),
+            GraphFamily::Cycle { n } => n.saturating_mul(2),
+            GraphFamily::Hypercube { dim } => n.saturating_mul(*dim as usize),
+            GraphFamily::RandomRegular { n, r } => n.saturating_mul(*r),
+            GraphFamily::Torus { sides } => n.saturating_mul(2 * sides.len()),
+            GraphFamily::CyclePower { n, k } => n.saturating_mul(k.saturating_mul(2)),
+            GraphFamily::RingOfCliques { size, .. } => n.saturating_mul(*size),
+            GraphFamily::Barbell { k } => n.saturating_mul(*k),
+            GraphFamily::Lollipop { k, .. } => n.saturating_mul(k.saturating_add(2)),
+            GraphFamily::Star { n } => n.saturating_mul(2),
+            GraphFamily::CompleteBipartite { a, b } => a.saturating_mul(*b).saturating_mul(2),
+            GraphFamily::BalancedTree { .. } => n.saturating_mul(2),
+            GraphFamily::ErdosRenyi { .. }
+            | GraphFamily::ChungLu { .. }
+            | GraphFamily::File { .. } => 0,
         }
     }
 
@@ -450,6 +478,29 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn families_beyond_the_u32_csr_fail_before_generating() {
+        // Each of these would need gigabytes before the CSR could even be checked; the
+        // closed-form vertex and arc counts reject them up front.
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let cases = [
+            ("random-regular:n=4294967296,r=4", 1usize << 32, 1usize << 34),
+            ("complete:n=70000", 70_000, 70_000 * 69_999),
+            ("hypercube:d=64", usize::MAX, usize::MAX),
+            ("torus:sides=65536x65536", 1 << 32, 1 << 34),
+        ];
+        for (spec, vertices, arcs) in cases {
+            let family: GraphFamily = spec.parse().unwrap();
+            let err = family.instantiate(&mut rng).unwrap_err();
+            assert_eq!(err, crate::GraphError::TooLarge { vertices, arcs }, "{spec}");
+        }
+        // Just under the limit in both counts, the check lets a family through to its
+        // generator (which then decides on its own parameters).
+        let fits = GraphFamily::Complete { n: 65_536 };
+        assert!(crate::csr::check_csr_size(fits.num_vertices(), fits.max_arcs()).is_ok());
+    }
 
     #[test]
     fn families_instantiate_and_match_vertex_counts() {

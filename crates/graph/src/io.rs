@@ -176,6 +176,10 @@ pub fn load_edge_list_file(path: &str, lenient: bool) -> Result<Graph> {
 /// Cache file layout (all integers little-endian):
 /// magic `COBRACSR` · `u32` version · `u64` source length · `u64` source fingerprint ·
 /// `u64` n · `u64` arc count · `(n+1) × u64` offsets · `arcs × u64` neighbours.
+///
+/// Entries are 64-bit on disk, wider than the in-memory `u32` CSR. A value beyond `u32::MAX`
+/// fails [`Graph::from_raw_parts`]'s checks, so the cache is rejected and the text re-parsed;
+/// nothing is narrowed modulo 2³².
 const CSR_CACHE_MAGIC: &[u8; 8] = b"COBRACSR";
 const CSR_CACHE_VERSION: u32 = 1;
 
@@ -390,6 +394,32 @@ mod tests {
         let fourth = load_edge_list_file(&path_str, false).unwrap();
         assert_eq!(fourth, g2);
 
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&cache);
+    }
+
+    #[test]
+    fn cache_values_beyond_u32_are_rejected_and_reparsed() {
+        let g = generators::petersen().unwrap();
+        let path = std::env::temp_dir().join("cobra_io_cache_u32_test.edges");
+        let path_str = path.to_str().unwrap().to_string();
+        let cache = format!("{path_str}.csrcache");
+        let _ = std::fs::remove_file(&cache);
+        std::fs::write(&path, to_edge_list(&g)).unwrap();
+        load_edge_list_file(&path_str, false).unwrap();
+
+        // Add 2^32 to the first neighbour entry (the word after the 11 offsets). Read
+        // modulo 2^32 it would still be a valid graph; it must be rejected instead.
+        let mut bytes = std::fs::read(&cache).unwrap();
+        let header = 8 + 4 + 4 * 8;
+        let first_neighbor = header + 8 * (g.num_vertices() + 1);
+        bytes[first_neighbor + 4] = 1;
+        std::fs::write(&cache, &bytes).unwrap();
+
+        let reloaded = load_edge_list_file(&path_str, false).unwrap();
+        assert_eq!(reloaded, g);
+        // The re-parse rewrote a valid cache in place of the bad one.
+        assert_ne!(std::fs::read(&cache).unwrap(), bytes);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&cache);
     }

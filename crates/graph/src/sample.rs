@@ -9,9 +9,7 @@
 //! the identical reduction).
 
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
-
-use crate::VertexId;
+use rand_chacha::{ChaCha8Rng, LANES};
 
 /// Draws a uniform index in `0..bound` from one `next_u64` via widening multiply.
 ///
@@ -39,12 +37,10 @@ pub fn uniform_index<R: RngCore + ?Sized>(rng: &mut R, bound: usize) -> usize {
 ///
 /// This is the buffered form of [`Graph::sample_neighbor`](crate::Graph::sample_neighbor):
 /// callers that push `k` times from the same vertex fetch the neighbour slice once and
-/// sample it repeatedly without re-touching the CSR offsets.
+/// sample it repeatedly without re-touching the CSR offsets. It is generic over the element
+/// type, so it samples the graph's `u32` neighbour rows and `VertexId` lists alike.
 #[inline]
-pub fn sample_slice<'a, R: RngCore + ?Sized>(
-    slice: &'a [VertexId],
-    rng: &mut R,
-) -> Option<&'a VertexId> {
+pub fn sample_slice<'a, T, R: RngCore + ?Sized>(slice: &'a [T], rng: &mut R) -> Option<&'a T> {
     if slice.is_empty() {
         None
     } else {
@@ -98,6 +94,17 @@ impl VertexStreams {
         ChaCha8Rng::stream_for(&self.key, entity, round)
     }
 
+    /// The streams of eight entities at `round`, derived together: lane `l` is
+    /// word-for-word [`stream`](Self::stream)`(entities[l], round)`.
+    ///
+    /// This is the stream engine's fast path. It computes the eight first blocks side by
+    /// side ([`ChaCha8Rng::streams_for_lanes`]: an 8-lane AVX2 kernel where the CPU has
+    /// one, the scalar block function per lane elsewhere).
+    #[inline]
+    pub fn stream_lanes(&self, entities: &[u64; LANES], round: u64) -> [ChaCha8Rng; LANES] {
+        ChaCha8Rng::streams_for_lanes(&self.key, entities, round)
+    }
+
     /// Batches `count` Lemire draws from `slice` on `entity`'s stream at `round`,
     /// appending the sampled elements to `out`.
     ///
@@ -106,13 +113,13 @@ impl VertexStreams {
     /// as [`uniform_index`] — so a `CountingRng` wrapped around the stream observes exactly
     /// `count` words.
     #[inline]
-    pub fn sample_slice_into(
+    pub fn sample_slice_into<T: Copy>(
         &self,
         entity: u64,
         round: u64,
-        slice: &[VertexId],
+        slice: &[T],
         count: usize,
-        out: &mut Vec<VertexId>,
+        out: &mut Vec<T>,
     ) {
         if slice.is_empty() || count == 0 {
             return;
@@ -128,6 +135,7 @@ impl VertexStreams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VertexId;
 
     struct Fixed(u64);
     impl RngCore for Fixed {
@@ -168,7 +176,7 @@ mod tests {
     #[test]
     fn sample_slice_handles_empty_and_singleton() {
         let mut rng = Fixed(1);
-        assert_eq!(sample_slice::<Fixed>(&[], &mut rng), None);
+        assert_eq!(sample_slice::<u32, Fixed>(&[], &mut rng), None);
         assert_eq!(sample_slice(&[42], &mut rng), Some(&42));
     }
 
